@@ -16,15 +16,18 @@ sessions concurrently:
   one model inference per unique preprocessed ticket text.
 * :mod:`repro.controlplane.serving` — the mode-agnostic per-ticket
   session path (:class:`ShardServer`): classify → lease → login → ops →
-  resolve → scrubbed release, identical under both worker modes.
+  resolve → scrubbed release, returning the result and the session's
+  trail, identical under both worker modes.
 * :mod:`repro.controlplane.channel` — the pickle-safe envelope protocol
   (tickets, results, typed errors, control RPCs) that crosses the
   process boundary in ``workers="process"`` mode.
 * :mod:`repro.controlplane.executor` — the bounded worker executor tying
-  it together: per-shard backpressure queues, thread *or* process shard
-  workers, crash detection with fail-fast stranded futures, graceful
-  drain, and :mod:`repro.obs` instrumentation (queue depth, pool hit
-  rate, session latency histograms).
+  it together: admission with per-shard backpressure, one pending table
+  and one settle path (latency, per-ticket metrics, trail persistence)
+  shared by thread *or* process shard workers behind a small per-mode
+  backend, fail-fast futures on a worker crash, graceful drain, and
+  :mod:`repro.obs` instrumentation (queue depth, pool hit rate, session
+  latency histograms).
 """
 
 from repro.controlplane.batching import BatchingClassifier

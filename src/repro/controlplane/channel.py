@@ -15,8 +15,8 @@ defines exactly that wire surface:
   :func:`marshal_error`/:func:`unmarshal_error` round-trip the *typed*
   taxonomy instead.
 * :class:`ControlRequest`/:class:`ControlReply` — the small RPC surface
-  (prewarm, admin/user registration, stats probes) that thread mode runs
-  directly against the shard organizations.
+  (prewarm, admin/user registration) that thread mode runs directly
+  against the shard organizations.
 * :class:`WorkerExit` — the worker's goodbye: a snapshot of its private
   metrics registry for the parent to fold back into the plane-scoped
   :class:`~repro.obs.MetricsRegistry`.
@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import errors
 
 __all__ = [
-    "PER_TICKET_FOLDED",
     "ControlRequest",
     "ControlReply",
     "MarshalledError",
@@ -43,18 +42,6 @@ __all__ = [
     "marshal_error",
     "unmarshal_error",
 ]
-
-#: Series the parent folds per-ticket from :class:`ResultEnvelope`\ s
-#: (outcome counters, session/latency histograms, pool hit/miss). Workers
-#: exclude these from their :class:`WorkerExit` snapshot so the exit-time
-#: fold never double-counts what the live fold already recorded.
-PER_TICKET_FOLDED = frozenset({
-    "controlplane_tickets_served",
-    "controlplane_session_seconds",
-    "controlplane_ticket_latency_seconds",
-    "controlplane_pool_acquires",
-})
-
 
 @dataclass(frozen=True)
 class TicketEnvelope:
@@ -133,18 +120,18 @@ def unmarshal_error(marshalled: MarshalledError) -> errors.ReproError:
 class ResultEnvelope:
     """One served ticket on the result channel: a result XOR an error.
 
-    ``trail`` is the session's :class:`~repro.store.SessionTrail` when
-    the worker captured one — the store itself never crosses the process
-    boundary; the parent persists the trail on fold-back (after
-    re-stamping latency on its own clock), which is what makes process
-    workers' store writes atomic and single-writer.
+    ``trail`` is the session's :class:`~repro.store.SessionTrail` when it
+    was served — the store itself never crosses the process boundary;
+    the parent's settle path persists the trail (after re-stamping
+    latency on its own clock), which is what makes process workers'
+    store writes atomic and single-writer.
     """
 
     seq: int
     shard: int
     result: Optional[object] = None          # TicketResult when served
     error: Optional[MarshalledError] = None  # marshalled when it raised
-    trail: Optional[object] = None           # SessionTrail when captured
+    trail: Optional[object] = None           # SessionTrail when served
 
 
 @dataclass(frozen=True)
@@ -170,10 +157,11 @@ class ControlReply:
 class WorkerExit:
     """Clean-shutdown goodbye: the worker's private metrics snapshot.
 
-    ``metrics`` is a :meth:`~repro.obs.MetricsRegistry.snapshot` with the
-    :data:`PER_TICKET_FOLDED` series removed; the parent folds it into
-    the shared registry so worker-side counters (classifier memo rates,
-    pool scrub outcomes, kernel/ITFS series) survive the process exit.
+    ``metrics`` is a :meth:`~repro.obs.MetricsRegistry.snapshot`; the
+    parent folds it into the shared registry so worker-side counters
+    (classifier memo rates, pool scrub outcomes, kernel/ITFS series)
+    survive the process exit. It holds no per-ticket series: the
+    parent's settle path counts those from the result envelopes.
     """
 
     shard: int

@@ -6,7 +6,7 @@ enqueues it on that shard's bounded queue (a full queue blocks the
 producer — per-shard backpressure), one worker per shard drives the full
 Figure 3 session (classify → lease a pooled container → login → session
 ops → resolve → scrubbed release), and ``drain`` waits until every
-accepted ticket has completed.
+accepted ticket has settled.
 
 One worker per shard is deliberate: a simulated organization is not
 internally thread-safe, so the parallelism axis is the *number of
@@ -14,22 +14,29 @@ shards*, and within a shard everything stays single-threaded — the same
 reasoning real control planes use when they partition state instead of
 locking it.
 
-Workers come in two modes (``workers=`` at construction):
+The plane itself is mode-agnostic. It owns admission, the one pending
+table (``seq`` → future, admission clock, shard), and the one settle
+path: every served ticket comes back through :meth:`ControlPlane._settle`,
+which re-stamps latency on the plane's clock, counts the per-ticket
+series once, persists the trail (fail-soft) and sets the future. A small
+per-mode backend (``workers=`` at construction) only moves envelopes to
+a shard, runs control ops, and reports liveness:
 
-* ``"thread"`` — one worker thread per shard in this process. Cheap to
-  start, shares the classifier memo, but LDA fold-in and ITFS signature
-  checks are pure-Python CPU work, so true parallelism is capped by the
-  GIL at ~1 core.
+* ``"thread"`` — a queue plus a worker thread per shard in this process.
+  Cheap to start, shares the classifier memo, but LDA fold-in and ITFS
+  signature checks are pure-Python CPU work, so true parallelism is
+  capped by the GIL at ~1 core.
 * ``"process"`` — one worker *process* per shard. Per-shard state is
   fully partitioned by CRC-32 hostname routing, so each worker
   bootstraps its own organization from a pickled
   :class:`~repro.controlplane.sharding.ShardPlan` and the only traffic
   across the boundary is the envelope protocol of
   :mod:`repro.controlplane.channel`. CPU-bound serving scales with
-  cores. A worker that dies mid-ticket is detected by a monitor; every
-  stranded future fails fast with :class:`~repro.errors.WorkerCrashed`
-  (never hangs), the plane stays drainable, and ``workers_alive`` flips
-  false so ``/readyz`` goes unready.
+  cores. A worker that dies mid-ticket is detected by its collector;
+  every pending future on its shard fails fast with
+  :class:`~repro.errors.WorkerCrashed` (never hangs), the plane stays
+  drainable, and ``workers_alive`` flips false so ``/readyz`` goes
+  unready.
 
 Everything is observable through :mod:`repro.obs`:
 ``controlplane_queue_depth`` (gauge, per shard),
@@ -37,9 +44,9 @@ Everything is observable through :mod:`repro.obs`:
 (histograms, per shard), ``controlplane_pool_acquires`` /
 ``controlplane_pool_releases`` (counters; hit rate),
 ``controlplane_tickets_served`` (counter, per shard and outcome), and
-``controlplane_worker_crashes_total``. Process-mode workers accumulate
-into a private registry and fold back into the plane scope — per ticket
-for outcome/latency series, at exit for everything else.
+``controlplane_worker_crashes_total``. The per-ticket series are counted
+by the settle path alone; process-mode workers accumulate everything else
+into a private registry that is folded into the plane scope at exit.
 """
 
 from __future__ import annotations
@@ -53,11 +60,13 @@ import time
 from concurrent.futures import Future
 from multiprocessing.process import BaseProcess
 from multiprocessing.queues import Queue as MpQueue
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union)
 
 from repro import obs
 from repro.api import TicketResult
 from repro.broker.policy import BrokerPolicy
+from repro.controlplane import procworker
 from repro.controlplane._types import ClassifierLike
 from repro.controlplane.batching import BatchingClassifier
 from repro.controlplane.channel import (
@@ -68,20 +77,16 @@ from repro.controlplane.channel import (
     WorkerExit,
     unmarshal_error,
 )
-from repro.controlplane.serving import (
-    LATENCY_BUCKETS,
-    ShardServer,
-    default_session_ops,
-)
-from repro.controlplane.sharding import KernelShard, ShardPlan, ShardRouter
+from repro.controlplane.serving import ShardServer, default_session_ops
+from repro.controlplane.sharding import ShardRouter
 from repro.errors import (
     InvalidArgument,
+    ReproError,
     ShuttingDown,
     WorkerCrashed,
 )
 from repro.framework.classifier import KeywordClassifier
 from repro.framework.orchestrator import DEFAULT_MACHINES, DEFAULT_USERS
-from repro.framework.tickets import Role
 from repro.store.memory import MemoryStore
 from repro.store.protocol import EventStore, SessionTrail
 
@@ -91,9 +96,20 @@ __all__ = ["ControlPlane", "SessionOps", "WORKER_MODES",
 #: A session body: receives the admin shell and the broker client.
 SessionOps = Callable[[object, object], None]
 
-WORKER_MODES = ("thread", "process")
+#: End-to-end (admission -> settle) latency buckets: finer than the
+#: decade-wide defaults so the histogram supports meaningful percentile
+#: reads at storm rates.
+LATENCY_BUCKETS = (
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, float("inf"))
 
-_SENTINEL = None
+#: Tickets per queue item in bulk admission: the queue/handoff cost is
+#: paid once per chunk instead of once per ticket.
+_CHUNK_SIZE = 32
+
+#: How often a producer blocked on a full shard queue re-checks that the
+#: shard's worker is still alive.
+_POLL = 0.1
 
 #: How long close() waits for a worker process before escalating to
 #: terminate(); generous because a worker may be mid-session.
@@ -107,23 +123,273 @@ _CONTROL_TIMEOUT = 300.0
 #: unique ``plane`` label so co-resident instances never blend metrics.
 _PLANE_SEQ = itertools.count(1)
 
+#: A pending-table entry: the future, the admission clock read (``None``
+#: for a control op, which is not a ticket), and the shard index.
+_Pending = Tuple["Future[Any]", Optional[float], int]
+
+#: Admitted tickets bound for one shard, with their futures.
+_Chunk = List[Tuple[TicketEnvelope, "Future[TicketResult]"]]
+
+
+class _Backend:
+    """What differs between worker modes: moving envelopes to a shard,
+    running control ops, and reporting liveness."""
+
+    #: True when the shard organizations (and the classifier memo) live
+    #: in this process
+    in_process = False
+
+    def __init__(self, plane: "ControlPlane") -> None:
+        self.plane = plane
+        self.queues: Dict[int, Union["queue.Queue[object]",
+                                     "MpQueue[object]"]] = {}
+
+    def start(self) -> None:
+        raise NotImplementedError
+
+    def stop(self) -> None:
+        raise NotImplementedError
+
+    def control(self, op: str, payload: Tuple[object, ...]) -> List[object]:
+        raise NotImplementedError
+
+    def alive(self, index: int) -> bool:
+        raise NotImplementedError
+
+    def pids(self) -> Dict[int, Optional[int]]:
+        return {}
+
+    def put(self, index: int, item: object, block: bool) -> bool:
+        """Ship ``item`` to a shard; False when a non-blocking put finds
+        the queue full. A blocking put stops waiting once the shard's
+        worker is dead: crash handling fails whatever was registered."""
+        q = self.queues[index]
+        while True:
+            try:
+                q.put(item, block, _POLL)
+                return True
+            except queue.Full:
+                if not block:
+                    return False
+                if not self.alive(index):
+                    return True
+
+    def depth(self, index: int) -> int:
+        q = self.queues.get(index)
+        try:
+            return q.qsize() if q is not None else 0
+        except NotImplementedError:  # pragma: no cover - macOS sem_getvalue
+            return -1
+
+
+class _ThreadBackend(_Backend):
+    """A queue plus a worker thread per shard, in this process."""
+
+    in_process = True
+
+    def __init__(self, plane: "ControlPlane") -> None:
+        super().__init__(plane)
+        self.threads: Dict[int, threading.Thread] = {}
+        for shard in plane.router.shards:
+            self.queues[shard.index] = queue.Queue(maxsize=plane._queue_depth)
+
+    def start(self) -> None:
+        # shorter GIL slices keep the producer responsive while workers
+        # grind through CPU-bound sessions; restored on stop
+        self._switchinterval = sys.getswitchinterval()
+        sys.setswitchinterval(0.005)
+        for shard in self.plane.router.shards:
+            server = ShardServer(shard, self.plane.classifier)
+            worker = threading.Thread(
+                target=self._work, args=(server, self.queues[shard.index]),
+                name=f"shard-{shard.index}", daemon=True)
+            self.threads[shard.index] = worker
+            worker.start()
+
+    def _work(self, server: ShardServer, q: "queue.Queue[object]") -> None:
+        index = server.shard.index
+        while True:
+            envelopes = q.get()
+            if envelopes is None:
+                return
+            self.plane._set_depth(index)
+            assert isinstance(envelopes, list)
+            for env in envelopes:
+                try:
+                    result, trail = server.serve_traced(
+                        env.reporter, env.text, env.machine, env.admin,
+                        env.ops, session_id=env.session_id, org_name=env.org)
+                except BaseException as exc:  # noqa: BLE001 - boundary
+                    # in-process callers get the raw exception
+                    self.plane._settle(env.seq, error=exc)
+                else:
+                    self.plane._settle(env.seq, result, trail=trail)
+
+    def stop(self) -> None:
+        for q in self.queues.values():
+            q.put(None)
+        for worker in self.threads.values():
+            worker.join()
+        sys.setswitchinterval(self._switchinterval)
+
+    def control(self, op: str, payload: Tuple[object, ...]) -> List[object]:
+        return [procworker._handle_control(shard, op, payload)
+                for shard in self.plane.router.shards]
+
+    def alive(self, index: int) -> bool:
+        worker = self.threads.get(index)
+        return worker is not None and worker.is_alive()
+
 
 class _WorkerProc:
     """Parent-side handle for one shard worker process."""
 
-    __slots__ = ("plan", "process", "submit_q", "result_q", "collector",
-                 "crashed", "exit_seen")
+    __slots__ = ("process", "submit_q", "result_q", "collector")
 
-    def __init__(self, plan: ShardPlan, process: BaseProcess,
-                 submit_q: "MpQueue[object]",
+    def __init__(self, process: BaseProcess, submit_q: "MpQueue[object]",
                  result_q: "MpQueue[object]") -> None:
-        self.plan = plan
         self.process = process
         self.submit_q = submit_q
         self.result_q = result_q
         self.collector: Optional[threading.Thread] = None
-        self.crashed = False
-        self.exit_seen = False
+
+
+class _ProcessBackend(_Backend):
+    """One worker process per shard, each answered by a collector thread."""
+
+    def __init__(self, plane: "ControlPlane") -> None:
+        super().__init__(plane)
+        self.procs: Dict[int, _WorkerProc] = {}
+
+    def start(self) -> None:
+        import multiprocessing as mp
+
+        methods = mp.get_all_start_methods()
+        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        plane = self.plane
+        for plan in plane.router.plans:
+            submit_q: "MpQueue[object]" = ctx.Queue(
+                maxsize=plane._queue_depth)
+            result_q: "MpQueue[object]" = ctx.Queue()
+            process = ctx.Process(
+                target=procworker.worker_main,
+                args=(plan, plane._users, plane._pool_size,
+                      plane._base_classifier, plane._broker_policy,
+                      plane.plane_id, submit_q, result_q),
+                name=f"{plane.plane_id}-shard-{plan.index}", daemon=True)
+            self.queues[plan.index] = submit_q
+            self.procs[plan.index] = _WorkerProc(process, submit_q, result_q)
+            process.start()
+        for index, wp in self.procs.items():
+            wp.collector = threading.Thread(
+                target=self._collect, args=(index, wp),
+                name=f"collector-{index}", daemon=True)
+            wp.collector.start()
+
+    def stop(self) -> None:
+        for q in self.queues.values():
+            try:
+                q.put_nowait(None)
+            except queue.Full:
+                # drain() emptied the pending table, so a full queue is a
+                # dead worker's backlog that crash handling already failed
+                pass
+        for wp in self.procs.values():
+            wp.process.join(timeout=_JOIN_TIMEOUT)
+            if wp.process.is_alive():
+                wp.process.terminate()
+                wp.process.join(timeout=10)
+            if wp.collector is not None:
+                wp.collector.join(timeout=_JOIN_TIMEOUT)
+            # never let a queue feeder thread block interpreter exit on
+            # a pipe nobody will read again
+            for q in (wp.submit_q, wp.result_q):
+                q.cancel_join_thread()
+                q.close()
+
+    def control(self, op: str, payload: Tuple[object, ...]) -> List[object]:
+        """Run one control op on every live worker; collect the answers."""
+        futures: List["Future[object]"] = []
+        for index in self.procs:
+            if not self.alive(index):
+                continue
+            seq, future = next(self.plane._seq), Future[Any]()
+            if self.plane._register(index, [(seq, future, None)]) is None:
+                self.put(index, ControlRequest(req_id=seq, op=op,
+                                               payload=payload), block=True)
+                futures.append(future)
+        return [future.result(timeout=_CONTROL_TIMEOUT)
+                for future in futures]
+
+    def alive(self, index: int) -> bool:
+        wp = self.procs.get(index)
+        return wp is not None and wp.process.is_alive()
+
+    def pids(self) -> Dict[int, Optional[int]]:
+        return {index: wp.process.pid for index, wp in self.procs.items()}
+
+    def _collect(self, index: int, wp: _WorkerProc) -> None:
+        """Drain one worker's result queue; detect its death.
+
+        Exits on the worker's :class:`WorkerExit` goodbye (clean path,
+        metrics folded back) or after crash handling (dirty path). The
+        poll timeout doubles as the liveness check interval.
+        """
+        while True:
+            try:
+                item = wp.result_q.get(timeout=_POLL)
+            except queue.Empty:
+                if not wp.process.is_alive():
+                    self._on_death(index, wp)
+                    return
+                continue
+            if isinstance(item, WorkerExit):
+                obs.registry().fold(item.metrics)
+                return
+            self._deliver(item)
+
+    def _deliver(self, item: object) -> None:
+        if isinstance(item, ControlReply):
+            seq, value, trail = item.req_id, item.value, None
+        else:
+            assert isinstance(item, ResultEnvelope)
+            seq, value, trail = item.seq, item.result, item.trail
+        error = None if item.error is None else unmarshal_error(item.error)
+        self.plane._settle(seq, value, error=error, trail=trail)
+
+    def _on_death(self, index: int, wp: _WorkerProc) -> None:
+        """Fail-closed cleanup after a worker died without a goodbye."""
+        # give results already in the pipe a moment to surface, then
+        # fail everything that will never be answered; the blocking get
+        # parks on the queue's internal condition instead of sleep-polling
+        deadline = time.perf_counter() + 0.25
+        while True:
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                break
+            try:
+                item = wp.result_q.get(timeout=remaining)
+            except queue.Empty:
+                break
+            except (OSError, EOFError):
+                # queue torn down with the dead worker: nothing more can
+                # ever arrive, so waiting out the deadline is pointless
+                break
+            if not isinstance(item, WorkerExit):
+                self._deliver(item)
+        exitcode = wp.process.exitcode
+        self.plane.metrics.counter("controlplane_worker_crashes_total",
+                                   shard=index).inc()
+        self.plane._fail_pending(WorkerCrashed(
+            f"shard {index} worker process died (exitcode {exitcode})",
+            shard=index, exitcode=exitcode), shard=index)
+
+
+#: worker mode -> backend; the plane's only per-mode decision
+_BACKENDS: Dict[str, Type[_Backend]] = {
+    "thread": _ThreadBackend, "process": _ProcessBackend}
+
+WORKER_MODES = tuple(_BACKENDS)
 
 
 class ControlPlane:
@@ -141,7 +407,8 @@ class ControlPlane:
         if queue_depth < 1:
             raise InvalidArgument(
                 f"queue depth must be >= 1, got {queue_depth}")
-        if workers not in WORKER_MODES:
+        backend = _BACKENDS.get(workers)
+        if backend is None:
             raise InvalidArgument(
                 f"workers must be one of {WORKER_MODES}, got {workers!r}")
         #: worker mode: "thread" or "process"
@@ -160,55 +427,46 @@ class ControlPlane:
         self.metrics = obs.registry().scoped(plane=self.plane_id)
         self.classifier = BatchingClassifier(classifier or KeywordClassifier(),
                                              registry=self.metrics)
+        self._queue_depth = queue_depth
         #: worker-process bootstrap material (must survive pickling under
         #: a spawn start method; under fork it is simply inherited)
         self._base_classifier = classifier
         self._users = tuple(users)
         self._pool_size = pool_size
-        self._queue_depth = queue_depth
         self._broker_policy = broker_policy
         self.router = ShardRouter(machines, shards, users=users,
                                   pool_capacity=pool_size,
                                   classifier=self.classifier,
                                   broker_policy=broker_policy,
                                   registry=self.metrics,
-                                  build=(workers == "thread"))
+                                  build=backend.in_process)
         self._started = False
         self._closed = False
         self._lock = threading.Lock()
         #: admissions between the closed-check and the enqueue; close()
-        #: waits for this to reach zero before it may send the shutdown
-        #: sentinel, so no ticket is ever enqueued *behind* the sentinel
+        #: waits for this to reach zero before it may stop the workers,
+        #: so no ticket is ever enqueued *behind* the shutdown sentinel
         self._admitting = 0
         self._quiesced = threading.Condition(self._lock)
         self.submitted = 0
         self.completed = 0
-        #: per-ticket envelope sequence (the future key in process mode)
+        #: per-ticket envelope and control-op sequence (the pending key)
         self._seq = itertools.count(1)
+        #: seq -> (future, admission clock, shard); guarded by _lock
+        self._pending: Dict[int, _Pending] = {}
+        #: entries taken out of _pending whose futures are being set;
+        #: drain() waits for these too
+        self._settling = 0
+        self._drained = threading.Condition(self._lock)
+        #: crashed shard -> the error its futures fail with; guarded by _lock
+        self._dead: Dict[int, ReproError] = {}
+        #: admin/user registrations issued before start(); run on start
+        self._deferred: List[Tuple[str, Tuple[object, ...]]] = []
         self._depth_gauges = {
             plan.index: self.metrics.gauge("controlplane_queue_depth",
                                            shard=plan.index)
             for plan in self.router.plans}
-        # -- thread mode state ----------------------------------------
-        self._queues: Dict[int, "queue.Queue[object]"] = {}
-        self._threads: List[threading.Thread] = []
-        self._servers: Dict[int, ShardServer] = {}
-        # -- process mode state ---------------------------------------
-        self._proc: Dict[int, _WorkerProc] = {}
-        #: seq -> (future, enqueued_at, shard index); guarded by _lock
-        self._pending: Dict[int, Tuple["Future[TicketResult]", float, int]] = {}
-        self._drained = threading.Condition(self._lock)
-        self._ctrl_seq = itertools.count(1)
-        #: req_id -> (future, shard index); guarded by _lock
-        self._ctrl_pending: Dict[int, Tuple["Future[object]", int]] = {}
-        #: admin/user registrations issued before start() (process mode
-        #: has no workers to talk to yet); flushed on start
-        self._deferred_controls: List[Tuple[str, Tuple[object, ...]]] = []
-        if workers == "thread":
-            for shard in self.router.shards:
-                self._queues[shard.index] = queue.Queue(maxsize=queue_depth)
-                self._servers[shard.index] = ShardServer(
-                    shard, self.classifier, self.metrics, store=self.store)
+        self._backend: _Backend = backend(self)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -221,72 +479,26 @@ class ControlPlane:
         # a fresh boot epoch per start: session ids minted by this plane
         # are unique across every restart against the same store
         self.boot = self.store.begin_boot()
-        if self.workers == "thread":
-            # shorter GIL slices keep the producer responsive while
-            # workers grind through CPU-bound sessions; restored on close
-            self._saved_switchinterval = sys.getswitchinterval()
-            sys.setswitchinterval(0.005)
-            for shard in self.router.shards:
-                worker = threading.Thread(
-                    target=self._thread_worker, args=(shard,),
-                    name=f"shard-{shard.index}", daemon=True)
-                self._threads.append(worker)
-                worker.start()
-        else:
-            self._start_processes()
+        self._backend.start()
+        for op, payload in self._deferred:
+            self._backend.control(op, payload)
+        self._deferred.clear()
         return self
-
-    def _start_processes(self) -> None:
-        import multiprocessing as mp
-
-        from repro.controlplane.procworker import worker_main
-
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        for plan in self.router.plans:
-            submit_q = ctx.Queue(maxsize=self._queue_depth)
-            result_q = ctx.Queue()
-            process = ctx.Process(
-                target=worker_main,
-                args=(plan, self._users, self._pool_size,
-                      self._base_classifier, self._broker_policy,
-                      self.plane_id, submit_q, result_q, True),
-                name=f"{self.plane_id}-shard-{plan.index}", daemon=True)
-            wp = _WorkerProc(plan, process, submit_q, result_q)
-            self._proc[plan.index] = wp
-            process.start()
-        for wp in self._proc.values():
-            collector = threading.Thread(
-                target=self._collector, args=(wp,),
-                name=f"collector-{wp.plan.index}", daemon=True)
-            wp.collector = collector
-            collector.start()
-        for op, payload in self._deferred_controls:
-            self._control_all(op, payload)
-        self._deferred_controls.clear()
 
     def prewarm(self, ticket_classes: Sequence[str],
                 count: Optional[int] = None) -> int:
         """Warm pools for ``ticket_classes`` on every shard's machines."""
-        if self.workers == "thread":
-            return sum(shard.prewarm(cls, count=count)
-                       for shard in self.router.shards
-                       for cls in ticket_classes)
         if not self._started:
-            raise InvalidArgument(
-                "process-mode prewarm needs started workers")
-        return sum(sum(int(v) for v in self._control_all(
+            raise InvalidArgument("prewarm needs started workers")
+        return sum(sum(int(v) for v in self._control(
                        "prewarm", (cls, count)))
                    for cls in ticket_classes)
 
     def drain(self) -> None:
-        """Block until every accepted ticket has completed."""
-        if self.workers == "thread":
-            for q in self._queues.values():
-                q.join()
-        else:
-            with self._drained:
-                self._drained.wait_for(lambda: not self._pending)
+        """Block until every accepted ticket has settled."""
+        with self._drained:
+            self._drained.wait_for(
+                lambda: not self._pending and not self._settling)
 
     def close(self) -> None:
         """Graceful shutdown: drain, stop workers, tear down pools.
@@ -294,12 +506,11 @@ class ControlPlane:
         Admission and close coordinate under the plane lock: ``close``
         flips ``_closed`` (so no new admission can pass the gate), then
         waits out admissions already past the gate before draining and
-        enqueueing the shutdown sentinels — so no future is ever enqueued
-        *behind* a sentinel. Any future still stranded after the workers
-        exit fails with :class:`ShuttingDown` rather than hanging its
+        stopping the workers — so no future is ever enqueued *behind* a
+        shutdown sentinel. Any future still pending after the workers
+        stop fails with :class:`ShuttingDown` rather than hanging its
         waiter; a crashed worker's futures were already failed with
-        :class:`WorkerCrashed` by the monitor, so ``drain`` terminates
-        either way.
+        :class:`WorkerCrashed`, so ``drain`` terminates either way.
         """
         with self._quiesced:
             if self._closed:
@@ -309,106 +520,32 @@ class ControlPlane:
                 self._quiesced.wait()
         if self._started:
             self.drain()
-            if self.workers == "thread":
-                for q in self._queues.values():
-                    q.put(_SENTINEL)
-                for worker in self._threads:
-                    worker.join()
-                sys.setswitchinterval(self._saved_switchinterval)
-                self._fail_stranded()
-            else:
-                self._close_processes()
+            self._backend.stop()
+            self._fail_pending(ShuttingDown(
+                "control plane closed before the request was served"))
         self.router.close()
         # checkpoint (not close) the store: callers routinely query the
         # trail history after the plane itself has shut down
         self.store.flush()
 
-    def _close_processes(self) -> None:
-        for wp in self._proc.values():
-            if not wp.crashed:
-                try:
-                    wp.submit_q.put_nowait(_SENTINEL)
-                except queue.Full:
-                    # drain() emptied pending, so a full queue means the
-                    # worker died with envelopes it will never serve;
-                    # the monitor has (or will have) failed them
-                    pass
-        for wp in self._proc.values():
-            wp.process.join(timeout=_JOIN_TIMEOUT)
-            if wp.process.is_alive():
-                wp.process.terminate()
-                wp.process.join(timeout=10)
-            if wp.collector is not None:
-                wp.collector.join(timeout=_JOIN_TIMEOUT)
-            # never let a queue feeder thread block interpreter exit on
-            # a pipe nobody will read again
-            wp.submit_q.cancel_join_thread()
-            wp.submit_q.close()
-            wp.result_q.cancel_join_thread()
-            wp.result_q.close()
-        with self._lock:
-            stranded = list(self._pending.values())
-            self._pending.clear()
-            ctrl = list(self._ctrl_pending.values())
-            self._ctrl_pending.clear()
-        for future, _enqueued, _shard in stranded:
-            if not future.done():
-                future.set_exception(ShuttingDown(
-                    "control plane closed before the ticket was served"))
-        for future, _shard in ctrl:
-            if not future.done():
-                future.set_exception(ShuttingDown(
-                    "control plane closed before the command ran"))
-
-    def _fail_stranded(self) -> None:
-        """Fail (never strand) any future still queued after worker exit."""
-        for q in self._queues.values():
-            while True:
-                try:
-                    chunk = q.get_nowait()
-                except queue.Empty:
-                    break
-                if chunk is _SENTINEL:
-                    continue
-                for _env, future in chunk:
-                    if not future.done():
-                        future.set_exception(ShuttingDown(
-                            "control plane closed before the ticket "
-                            "was served"))
-
     def workers_alive(self) -> bool:
         """True when every shard worker is running (readiness feed)."""
-        if self.workers == "thread":
-            return bool(self._threads) and all(w.is_alive()
-                                               for w in self._threads)
-        return bool(self._proc) and all(
-            wp.process.is_alive() and not wp.crashed
-            for wp in self._proc.values())
+        return all(self._backend.alive(plan.index)
+                   for plan in self.router.plans)
 
     def crashed_shards(self) -> List[int]:
         """Shard indexes whose worker process died (process mode)."""
-        return sorted(index for index, wp in self._proc.items()
-                      if wp.crashed)
+        with self._lock:
+            return sorted(self._dead)
 
     def worker_pids(self) -> Dict[int, Optional[int]]:
         """Shard index -> worker process pid (process mode only)."""
-        return {index: wp.process.pid for index, wp in self._proc.items()}
+        return self._backend.pids()
 
     def stats(self) -> Dict[str, object]:
         """A point-in-time lifecycle snapshot (the service readiness feed)."""
         with self._lock:
             submitted, completed = self.submitted, self.completed
-        if self.workers == "thread":
-            depths = {shard.index: self._queues[shard.index].qsize()
-                      for shard in self.router.shards}
-            pool_idle: Optional[int] = sum(shard.pool.idle_count()
-                                           for shard in self.router.shards)
-        else:
-            depths = {index: self._queue_size(wp)
-                      for index, wp in self._proc.items()}
-            # the pools live inside the worker processes; a live count
-            # would need an RPC per stats() call, so it is not reported
-            pool_idle = None
         return {
             "plane": self.plane_id,
             "workers": self.workers,
@@ -420,16 +557,15 @@ class ControlPlane:
             "workers_alive": self.workers_alive(),
             "crashed_shards": self.crashed_shards(),
             "shards": len(self.router.plans),
-            "queue_depths": depths,
-            "pool_idle": pool_idle,
+            "queue_depths": {plan.index: self._backend.depth(plan.index)
+                             for plan in self.router.plans},
+            # process-mode pools live inside the worker processes; a live
+            # count would need an RPC per stats() call, so it is not
+            # reported there
+            "pool_idle": (sum(shard.pool.idle_count()
+                              for shard in self.router.shards)
+                          if self._backend.in_process else None),
         }
-
-    @staticmethod
-    def _queue_size(wp: _WorkerProc) -> int:
-        try:
-            return wp.submit_q.qsize()
-        except NotImplementedError:  # pragma: no cover - macOS sem_getvalue
-            return -1
 
     def __enter__(self) -> "ControlPlane":
         return self.start()
@@ -442,18 +578,19 @@ class ControlPlane:
     # ------------------------------------------------------------------
 
     def register_admin(self, name: str) -> None:
-        if self.workers == "thread":
-            for shard in self.router.shards:
-                shard.org.register_admin(name)
-        else:
-            self._control_or_defer("register_admin", (name,))
+        self._control("register_admin", (name,))
 
     def register_user(self, name: str) -> None:
-        if self.workers == "thread":
-            for shard in self.router.shards:
-                shard.org.tickets.register_person(name, Role.END_USER)
-        else:
-            self._control_or_defer("register_user", (name,))
+        self._control("register_user", (name,))
+
+    def _control(self, op: str, payload: Tuple[object, ...]) -> List[object]:
+        """Run a control op on every shard; deferred until start()."""
+        if self._closed:
+            raise InvalidArgument("control plane is closed")
+        if not self._started:
+            self._deferred.append((op, payload))
+            return []
+        return self._backend.control(op, payload)
 
     def _begin_admission(self) -> None:
         """Pass the admission gate; pairs with :meth:`_end_admission`.
@@ -500,46 +637,52 @@ class ControlPlane:
                ops: Optional[SessionOps] = None,
                org: Optional[str] = None) -> "Future[TicketResult]":
         """Route + enqueue one ticket; blocks when the shard is backlogged."""
-        self._begin_admission()
-        accepted = 0
-        try:
-            index = self.router.route_index(machine)
-            env = self._envelope(reporter, text, machine, admin, ops, org=org)
-            future: "Future[TicketResult]" = Future()
-            if self.workers == "thread":
-                self._queues[index].put([(env, future)])
-                accepted = 1
-            else:
-                accepted = self._process_enqueue(index, [(env, future)],
-                                                 block=True)
-        finally:
-            self._end_admission(accepted)
-        self._set_depth(index)
-        return future
+        futures, _accepted = self._admit([(reporter, text, machine)], admin,
+                                         ops, org, block=True)
+        return futures[0]
 
     def submit_many(self, tickets: Sequence[Tuple[str, str, str]], admin: str,
                     ops: Optional[SessionOps] = None,
-                    chunk_size: int = 32,
                     org: Optional[str] = None) -> List["Future[TicketResult]"]:
         """Bulk admission: route, pre-classify, and enqueue a whole storm.
 
         ``tickets`` is a sequence of ``(reporter, text, machine)``. Tickets
         are enqueued in per-shard chunks, so the queue/handoff cost is paid
-        once per ``chunk_size`` tickets instead of once per ticket; each
-        envelope still records its *own* admission timestamp. In thread
-        mode the storm is pre-classified in one :meth:`classify_batch`
+        once per chunk instead of once per ticket; each envelope still
+        records its *own* admission timestamp. With in-process (thread)
+        workers the storm is pre-classified in one :meth:`classify_batch`
         pass (one inference per unique text, shared memo); process-mode
         workers each memoize their own shard's texts instead — that is
         exactly the CPU work the fork exists to parallelize. Returns one
         future per ticket, in submission order.
         """
+        if self._backend.in_process:
+            self.classify_batch([text for _, text, _ in tickets])
+        futures, _accepted = self._admit(tickets, admin, ops, org,
+                                         block=True)
+        return futures
+
+    def try_submit(self, reporter: str, text: str, machine: str, admin: str,
+                   ops: Optional[SessionOps] = None,
+                   org: Optional[str] = None
+                   ) -> Optional["Future[TicketResult]"]:
+        """Non-blocking submit: None when the shard queue is full."""
+        futures, accepted = self._admit([(reporter, text, machine)], admin,
+                                        ops, org, block=False)
+        if not accepted and not futures[0].done():
+            return None  # queue full: backpressure, not failure
+        return futures[0]
+
+    def _admit(self, tickets: Sequence[Tuple[str, str, str]], admin: str,
+               ops: Optional[SessionOps], org: Optional[str], block: bool
+               ) -> Tuple[List["Future[TicketResult]"], int]:
+        """Route and enqueue ``tickets`` in per-shard chunks; returns one
+        future per ticket and how many tickets were accepted."""
         self._begin_admission()
         accepted = 0
+        futures: List["Future[TicketResult]"] = []
+        chunks: Dict[int, _Chunk] = {}
         try:
-            if self.workers == "thread":
-                self.classify_batch([text for _, text, _ in tickets])
-            futures: List["Future[TicketResult]"] = []
-            chunks: Dict[int, List[Tuple[TicketEnvelope, "Future[TicketResult]"]]] = {}
             for reporter, text, machine in tickets:
                 index = self.router.route_index(machine)
                 env = self._envelope(reporter, text, machine, admin, ops,
@@ -548,231 +691,131 @@ class ControlPlane:
                 futures.append(future)
                 chunk = chunks.setdefault(index, [])
                 chunk.append((env, future))
-                if len(chunk) >= chunk_size:
-                    accepted += self._flush_chunk(index, chunk)
+                if len(chunk) >= _CHUNK_SIZE:
+                    accepted += self._enqueue(index, chunk, block)
                     chunks[index] = []
             for index, chunk in chunks.items():
                 if chunk:
-                    accepted += self._flush_chunk(index, chunk)
+                    accepted += self._enqueue(index, chunk, block)
         finally:
             self._end_admission(accepted)
-        for plan in self.router.plans:
-            self._set_depth(plan.index)
-        return futures
+        for index in chunks:
+            self._set_depth(index)
+        return futures, accepted
 
-    def _flush_chunk(self, index: int,
-                     chunk: List[Tuple[TicketEnvelope, "Future[TicketResult]"]]) -> int:
-        if self.workers == "thread":
-            self._queues[index].put(chunk)
+    def _enqueue(self, index: int, chunk: _Chunk, block: bool) -> int:
+        """Register the chunk's futures, then ship its envelopes; returns
+        how many tickets were accepted.
+
+        Registration happens *before* the put so a fast worker can never
+        settle a seq the pending table does not hold yet. A shard whose
+        worker crashed fails the chunk fast with :class:`WorkerCrashed`
+        instead of queueing it for a consumer that no longer exists.
+        """
+        error = self._register(index, [(env.seq, future, env.enqueued_at)
+                                       for env, future in chunk])
+        if error is not None:
+            for _env, future in chunk:
+                future.set_exception(error)
+            return 0
+        if self._backend.put(index, [env for env, _ in chunk], block):
             return len(chunk)
-        return self._process_enqueue(index, chunk, block=True)
-
-    def try_submit(self, reporter: str, text: str, machine: str, admin: str,
-                   ops: Optional[SessionOps] = None,
-                   org: Optional[str] = None
-                   ) -> Optional["Future[TicketResult]"]:
-        """Non-blocking submit: None when the shard queue is full."""
-        self._begin_admission()
-        accepted = 0
-        try:
-            index = self.router.route_index(machine)
-            env = self._envelope(reporter, text, machine, admin, ops, org=org)
-            future: "Future[TicketResult]" = Future()
-            if self.workers == "thread":
-                try:
-                    self._queues[index].put_nowait([(env, future)])
-                except queue.Full:
-                    self.metrics.counter("controlplane_rejected_total",
-                                         shard=index).inc()
-                    return None
-                accepted = 1
-            else:
-                accepted = self._process_enqueue(index, [(env, future)],
-                                                 block=False)
-                if accepted == 0 and not future.done():
-                    # queue full (not a crash): backpressure, not failure
-                    self.metrics.counter("controlplane_rejected_total",
-                                         shard=index).inc()
-                    return None
-        finally:
-            self._end_admission(accepted)
-        self._set_depth(index)
-        return future
+        # queue full: take back whatever crash handling has not failed
+        with self._drained:
+            taken = sum(self._pending.pop(env.seq, None) is not None
+                        for env, _ in chunk)
+            if not self._pending and not self._settling:
+                self._drained.notify_all()
+        self.metrics.counter("controlplane_rejected_total",
+                             shard=index).inc()
+        return len(chunk) - taken
 
     def classify_batch(self, texts: Sequence[str]) -> List[str]:
         """Bulk pre-classification (one inference per unique text)."""
         return self.classifier.classify_batch(texts)
 
-    # ------------------------------------------------------------------
-    # the thread-mode shard worker
-    # ------------------------------------------------------------------
-
     def _set_depth(self, index: int) -> None:
         gauge = self._depth_gauges.get(index)
-        if gauge is None:
-            return
-        if self.workers == "thread":
-            gauge.set(self._queues[index].qsize())
-        else:
-            gauge.set(self._queue_size(self._proc[index]))
-
-    def _thread_worker(self, shard: KernelShard) -> None:
-        server = self._servers[shard.index]
-        q = self._queues[shard.index]
-        while True:
-            chunk = q.get()
-            if chunk is _SENTINEL:
-                q.task_done()
-                return
-            self._set_depth(shard.index)
-            served = 0
-            try:
-                for env, future in chunk:
-                    try:
-                        result = server.serve(env.reporter, env.text,
-                                              env.machine, env.admin,
-                                              env.ops,
-                                              enqueued_at=env.enqueued_at,
-                                              session_id=env.session_id,
-                                              org_name=env.org,
-                                              boot=self.boot)
-                        future.set_result(result)
-                    except BaseException as exc:  # noqa: BLE001 - boundary
-                        future.set_exception(exc)
-                    served += 1
-            finally:
-                with self._lock:
-                    self.completed += served
-                q.task_done()
+        if gauge is not None:
+            gauge.set(self._backend.depth(index))
 
     # ------------------------------------------------------------------
-    # process mode: admission, collection, crash handling
+    # the pending table: register, settle, fail
     # ------------------------------------------------------------------
 
-    def _process_enqueue(self, index: int,
-                         chunk: List[Tuple[TicketEnvelope, "Future[TicketResult]"]],
-                         block: bool) -> int:
-        """Register pending futures, then ship the envelopes.
-
-        Registration happens *before* the put so a fast worker can never
-        answer a seq the collector does not know yet. A crash detected
-        while blocked on a full queue fails the chunk fast with
-        :class:`WorkerCrashed` instead of waiting on a consumer that no
-        longer exists.
-        """
-        wp = self._proc[index]
-        if wp.crashed:
-            self._fail_chunk(chunk, self._crash_error(wp))
-            return 0
+    def _register(self, index: int,
+                  entries: Sequence[Tuple[int, "Future[Any]",
+                                          Optional[float]]]
+                  ) -> Optional[ReproError]:
+        """Enter futures in the pending table unless their shard crashed
+        (then return the crash error; nothing is registered)."""
         with self._lock:
-            for env, future in chunk:
-                self._pending[env.seq] = (future, env.enqueued_at, index)
-        envelopes = [env for env, _future in chunk]
-        try:
-            if block:
-                while True:
-                    if wp.crashed:
-                        raise WorkerCrashed(
-                            str(self._crash_error(wp)),
-                            shard=index, exitcode=wp.process.exitcode)
-                    try:
-                        wp.submit_q.put(envelopes, timeout=0.1)
-                        break
-                    except queue.Full:
-                        continue
+            error = self._dead.get(index)
+            if error is None:
+                for seq, future, clock in entries:
+                    self._pending[seq] = (future, clock, index)
+        return error
+
+    def _settle(self, seq: int, value: object = None,
+                error: Optional[BaseException] = None,
+                trail: object = None) -> None:
+        """The one settle path for ticket results and control replies.
+
+        A served ticket's latency is re-read on this process's clock
+        (admission to settle), its per-ticket series are counted here and
+        nowhere else, and its trail is persisted before its future is
+        set. A worker's view of the boot epoch and the admission clock
+        never reaches the store.
+        """
+        with self._lock:
+            entry = self._pending.pop(seq, None)
+            if entry is None:
+                return  # already failed: its shard crashed or plane closed
+            self._settling += 1
+        future, clock, index = entry
+        if error is None and clock is not None:
+            assert isinstance(value, TicketResult)
+            value = dataclasses.replace(value,
+                                        latency_s=time.perf_counter() - clock)
+            self._count(value, index)
+            if trail is not None:
+                self._put_trail(trail, value)
+        if not future.done():
+            if error is None:
+                future.set_result(value)
             else:
-                wp.submit_q.put_nowait(envelopes)
-        except (queue.Full, WorkerCrashed) as exc:
-            with self._lock:
-                for env, _future in chunk:
-                    self._pending.pop(env.seq, None)
-            if isinstance(exc, WorkerCrashed):
-                self._fail_chunk(chunk, exc)
-            return 0
-        return len(chunk)
+                future.set_exception(error)
+        self._done([entry])
 
-    def _crash_error(self, wp: _WorkerProc) -> WorkerCrashed:
-        return WorkerCrashed(
-            f"shard {wp.plan.index} worker process died "
-            f"(exitcode {wp.process.exitcode})",
-            shard=wp.plan.index, exitcode=wp.process.exitcode)
-
-    @staticmethod
-    def _fail_chunk(chunk: List[Tuple[TicketEnvelope, "Future[TicketResult]"]],
-                    error: Exception) -> None:
-        for _env, future in chunk:
+    def _fail_pending(self, error: ReproError,
+                      shard: Optional[int] = None) -> None:
+        """Fail every pending future — a crashed shard's (which stays
+        dead: later admissions fail at once), or all of them at close —
+        so none is ever stranded."""
+        with self._lock:
+            if shard is not None:
+                self._dead[shard] = error
+            doomed = [seq for seq, (_f, _c, index) in self._pending.items()
+                      if shard is None or index == shard]
+            entries = [self._pending.pop(seq) for seq in doomed]
+            self._settling += len(entries)
+        for future, _clock, _index in entries:
             if not future.done():
                 future.set_exception(error)
+        self._done(entries)
 
-    def _collector(self, wp: _WorkerProc) -> None:
-        """Drain one worker's result queue; detect its death.
-
-        Exits on the worker's :class:`WorkerExit` goodbye (clean path,
-        metrics folded back) or after crash handling (dirty path). The
-        poll timeout doubles as the liveness check interval.
-        """
-        while True:
-            try:
-                item = wp.result_q.get(timeout=0.1)
-            except queue.Empty:
-                if not wp.process.is_alive():
-                    self._on_worker_death(wp)
-                    return
-                continue
-            if isinstance(item, WorkerExit):
-                wp.exit_seen = True
-                obs.registry().fold(item.metrics)
-                return
-            if isinstance(item, ControlReply):
-                self._resolve_control(item)
-            else:
-                self._resolve_result(item)
-
-    def _resolve_result(self, envelope: ResultEnvelope) -> None:
-        with self._lock:
-            entry = self._pending.pop(envelope.seq, None)
-        if entry is None:
-            return  # already failed by the crash monitor
-        future, enqueued_at, index = entry
-        if envelope.error is not None:
-            if not future.done():
-                future.set_exception(unmarshal_error(envelope.error))
-        else:
-            result: TicketResult = envelope.result  # type: ignore[assignment]
-            # end-to-end latency is measured entirely on parent clocks:
-            # admission read at enqueue, completion read here
-            latency = time.perf_counter() - enqueued_at
-            result = dataclasses.replace(result, latency_s=latency)
-            self._fold_ticket(result, index)
-            if envelope.trail is not None:
-                self._persist_trail(envelope.trail, latency)
-            if not future.done():
-                future.set_result(result)
+    def _done(self, entries: List[_Pending]) -> None:
         with self._drained:
-            self.completed += 1
-            if not self._pending:
+            self._settling -= len(entries)
+            self.completed += sum(clock is not None
+                                  for _f, clock, _i in entries)
+            if not self._pending and not self._settling:
                 self._drained.notify_all()
 
-    def _persist_trail(self, trail: object, latency: float) -> None:
-        """Persist a worker-captured trail (process-mode fold-back).
-
-        The parent owns the single store connection, so process workers'
-        writes are single-writer by construction. Boot and latency are
-        re-stamped parent-side: the worker knows neither the store's boot
-        epoch nor the parent's admission clock. A store failure must
-        never kill the collector thread — it is counted, not raised.
-        """
-        assert isinstance(trail, SessionTrail)
-        stamped = dataclasses.replace(
-            trail, session=dataclasses.replace(
-                trail.session, boot=self.boot, latency_s=latency))
-        try:
-            self.store.put_trail(stamped)
-        except Exception:  # noqa: BLE001 - collector must survive
-            self.metrics.counter("controlplane_store_errors_total").inc()
-
-    def _fold_ticket(self, result: TicketResult, index: int) -> None:
-        """Fold one served ticket's metrics into the plane scope."""
+    def _count(self, result: TicketResult, index: int) -> None:
+        """Count one served ticket's per-ticket series in the plane scope."""
+        # looked up per ticket, not cached: the registry may be reset in
+        # place (test and run boundaries), which would strand a handle
         outcome = "resolved" if result.resolved else "errored"
         self.metrics.counter("controlplane_tickets_served",
                              shard=index, outcome=outcome).inc()
@@ -786,94 +829,24 @@ class ControlPlane:
                 "controlplane_pool_acquires",
                 outcome="hit" if result.pool_hit else "miss").inc()
 
-    def _resolve_control(self, reply: ControlReply) -> None:
-        with self._lock:
-            entry = self._ctrl_pending.pop(reply.req_id, None)
-        if entry is None:
-            return
-        future, _index = entry
-        if future.done():
-            return
-        if reply.error is not None:
-            future.set_exception(unmarshal_error(reply.error))
-        else:
-            future.set_result(reply.value)
+    def _put_trail(self, trail: object, result: TicketResult) -> None:
+        """Persist one session trail, stamped with this plane's boot epoch
+        and the re-read latency.
 
-    def _on_worker_death(self, wp: _WorkerProc) -> None:
-        """Fail-closed cleanup after a worker died without a goodbye."""
-        # give results already in the pipe a moment to surface, then
-        # fail everything that will never be answered; the blocking get
-        # parks on the queue's internal condition instead of sleep-polling
-        deadline = time.perf_counter() + 0.25
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            try:
-                item = wp.result_q.get(timeout=remaining)
-            except queue.Empty:
-                break
-            except (OSError, EOFError):
-                # queue torn down with the dead worker: nothing more can
-                # ever arrive, so waiting out the deadline is pointless
-                break
-            if isinstance(item, ControlReply):
-                self._resolve_control(item)
-            elif not isinstance(item, WorkerExit):
-                self._resolve_result(item)
-        wp.crashed = True
-        error = self._crash_error(wp)
-        self.metrics.counter("controlplane_worker_crashes_total",
-                             shard=wp.plan.index).inc()
-        with self._lock:
-            stranded = [(seq, entry) for seq, entry in self._pending.items()
-                        if entry[2] == wp.plan.index]
-            for seq, _entry in stranded:
-                del self._pending[seq]
-            ctrl = [(req_id, entry) for req_id, entry
-                    in self._ctrl_pending.items()
-                    if entry[1] == wp.plan.index]
-            for req_id, _entry in ctrl:
-                del self._ctrl_pending[req_id]
-        for _seq, (future, _enqueued, _index) in stranded:
-            if not future.done():
-                future.set_exception(error)
-        for _req_id, (future, _index) in ctrl:
-            if not future.done():
-                future.set_exception(error)
-        with self._drained:
-            self.completed += len(stranded)
-            if not self._pending:
-                self._drained.notify_all()
-
-    # ------------------------------------------------------------------
-    # process mode: control RPCs
-    # ------------------------------------------------------------------
-
-    def _control_or_defer(self, op: str, payload: Tuple[object, ...]) -> None:
-        if not self._started:
-            self._deferred_controls.append((op, payload))
-            return
-        self._control_all(op, payload)
-
-    def _control_all(self, op: str,
-                     payload: Tuple[object, ...]) -> List[object]:
-        """Run one control op on every live worker; collect the answers."""
-        if self._closed:
-            raise InvalidArgument("control plane is closed")
-        issued: List[Tuple[_WorkerProc, "Future[object]"]] = []
-        for wp in self._proc.values():
-            if wp.crashed:
-                continue
-            req_id = next(self._ctrl_seq)
-            future: "Future[object]" = Future()
-            with self._lock:
-                self._ctrl_pending[req_id] = (future, wp.plan.index)
-            wp.submit_q.put(ControlRequest(req_id=req_id, op=op,
-                                           payload=payload))
-            issued.append((wp, future))
-        return [future.result(timeout=_CONTROL_TIMEOUT)
-                for _wp, future in issued]
+        The plane owns the single store connection, so store writes are
+        single-writer even with N worker processes. A store failure must
+        never kill the worker or collector thread settling the ticket —
+        it is counted, not raised: a sick store degrades forensics, never
+        serving.
+        """
+        assert isinstance(trail, SessionTrail)
+        stamped = dataclasses.replace(
+            trail, session=dataclasses.replace(
+                trail.session, boot=self.boot, latency_s=result.latency_s))
+        try:
+            self.store.put_trail(stamped)
+        except Exception:  # noqa: BLE001 - settling must survive
+            self.metrics.counter("controlplane_store_errors_total").inc()
 
     # ------------------------------------------------------------------
 
@@ -882,9 +855,9 @@ class ControlPlane:
 
         The series carry this plane's ``plane`` label, so two co-resident
         control planes report independent rates instead of blending each
-        other's acquire counters through the process-global registry. In
-        process mode the counters are folded back per ticket from the
-        result envelopes, so the rate is equally live.
+        other's acquire counters through the process-global registry. The
+        settle path counts every lease as its ticket settles, in both
+        worker modes, so the rate is live.
         """
         hits = self.metrics.total("controlplane_pool_acquires",
                                   outcome="hit")

@@ -89,7 +89,9 @@ class PooledDeployment:
     ticket_class: str
     user: str
     baseline: _Baseline
-    #: True when the current lease came from the warm pool (vs a cold deploy)
+    #: True when the current lease came from the warm pool (vs a cold
+    #: deploy); the control plane counts ``controlplane_pool_acquires``
+    #: from it when the lease's ticket settles
     pool_hit: bool = False
     leases_served: int = field(default=0)
     #: durable-store id of the session currently leasing this deployment;
@@ -134,10 +136,6 @@ class ContainerPool:
         # two control planes' pool counters apart in one process.
         registry = registry if registry is not None else obs.registry()
         self._registry = registry
-        self._m_hit = registry.counter("controlplane_pool_acquires",
-                                       outcome="hit")
-        self._m_miss = registry.counter("controlplane_pool_acquires",
-                                        outcome="miss")
         self._m_reused = registry.counter("controlplane_pool_releases",
                                           outcome="reused")
         self._m_discarded = registry.counter("controlplane_pool_releases",
@@ -173,11 +171,9 @@ class ContainerPool:
                 pooled.container.terminate("pool user rebind failed")
                 pooled = None
         if pooled is not None:
-            self._m_hit.inc()
             pooled.pool_hit = True
             pooled.leases_served += 1
             return pooled
-        self._m_miss.inc()
         pooled = self._deploy(spec, machine, user, ticket_class)
         pooled.pool_hit = False
         pooled.leases_served += 1

@@ -7,30 +7,36 @@ classifier memo inside the child process, and the only traffic across
 the process boundary is the pickled envelope protocol of
 :mod:`repro.controlplane.channel`.
 
-Metrics discipline: the worker accumulates into a **private**
+Every served ticket's result and trail ride back on a
+:class:`ResultEnvelope` to the parent, whose one settle path counts the
+per-ticket series, persists the trail, and sets the future — exactly as
+it does for thread-mode workers.
+
+Metrics discipline: the worker accumulates its own series (classifier
+memo, pool lifecycle, kernel/ITFS) into a **private**
 :class:`~repro.obs.MetricsRegistry` (under ``fork`` the global registry
 is a copy of the parent's — reporting there would double-count at
 fold-back time) and ships a snapshot in its :class:`WorkerExit` goodbye;
-the parent folds it into the plane-scoped view. Per-ticket outcome
-series are folded live from :class:`ResultEnvelope`\\ s instead and are
-excluded from the snapshot (:data:`~repro.controlplane.channel.PER_TICKET_FOLDED`).
+the parent folds it into the plane-scoped view.
+
+Control ops (:func:`_handle_control`) are the same function the thread
+backend calls in-process; here they arrive as :class:`ControlRequest`\\ s.
 
 Failure posture is fail-closed end to end: any exception escaping a
 session is marshalled as a typed error envelope (never a raw pickle of
 an errno-tagged exception), and a worker that dies without a goodbye is
-detected by the parent's monitor, which fails every stranded future with
-:class:`~repro.errors.WorkerCrashed`.
+detected by the parent's collector, which fails every pending future of
+its shard with :class:`~repro.errors.WorkerCrashed`.
 """
 
 from __future__ import annotations
 
 from multiprocessing.queues import Queue as MpQueue
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.broker.policy import BrokerPolicy
 from repro.controlplane._types import ClassifierLike
 from repro.controlplane.channel import (
-    PER_TICKET_FOLDED,
     ControlReply,
     ControlRequest,
     ResultEnvelope,
@@ -46,44 +52,39 @@ if TYPE_CHECKING:
 __all__ = ["worker_main"]
 
 
-def _handle_control(shard: KernelShard, request: ControlRequest) -> object:
-    """Execute one control op against the worker's own organization."""
+def _handle_control(shard: KernelShard, op: str,
+                    payload: Tuple[object, ...]) -> object:
+    """Execute one control op against one shard's own organization."""
     from repro.framework.tickets import Role
 
-    if request.op == "prewarm":
-        ticket_class, count = request.payload
+    if op == "prewarm":
+        ticket_class, count = payload
         return shard.prewarm(str(ticket_class),
                              count=None if count is None else int(count))
-    if request.op == "register_admin":
-        (name,) = request.payload
+    if op == "register_admin":
+        (name,) = payload
         shard.org.register_admin(str(name))
         return True
-    if request.op == "register_user":
-        (name,) = request.payload
+    if op == "register_user":
+        (name,) = payload
         shard.org.tickets.register_person(str(name), Role.END_USER)
         return True
-    if request.op == "pool_idle":
-        return shard.pool.idle_count()
-    raise ValueError(f"unknown control op {request.op!r}")
+    raise ValueError(f"unknown control op {op!r}")
 
 
 def worker_main(plan: ShardPlan, users: Sequence[str], pool_capacity: int,
                 classifier: Optional[ClassifierLike],
                 broker_policy: Optional[BrokerPolicy], plane_id: str,
                 submit_q: "MpQueue[object]",
-                result_q: "MpQueue[object]",
-                capture: bool = False) -> None:
+                result_q: "MpQueue[object]") -> None:
     """Entry point of one shard worker process.
 
     Builds the shard organization, then serves the submit queue until the
     ``None`` shutdown sentinel arrives; every dequeued chunk is answered
     envelope-for-envelope on the result queue, so the parent can account
-    for every admitted ticket even across a crash.
-
-    With ``capture=True`` every served session's trail rides back on its
-    :class:`ResultEnvelope` — the durable store never crosses the process
-    boundary; the parent persists trails on fold-back, which keeps store
-    writes single-writer even with N worker processes.
+    for every admitted ticket even across a crash. The durable store
+    never crosses the process boundary: trails ride back on the result
+    envelopes, which keeps store writes single-writer.
     """
     from repro.controlplane.batching import BatchingClassifier
     from repro.controlplane.serving import ShardServer
@@ -101,14 +102,14 @@ def worker_main(plan: ShardPlan, users: Sequence[str], pool_capacity: int,
                             pool_capacity=pool_capacity,
                             classifier=batching,
                             broker_policy=broker_policy, registry=scoped)
-        server = ShardServer(shard, batching, scoped, capture=capture)
+        server = ShardServer(shard, batching)
         while True:
             item = submit_q.get()
             if item is None:
                 break
             if isinstance(item, ControlRequest):
                 try:
-                    value = _handle_control(shard, item)
+                    value = _handle_control(shard, item.op, item.payload)
                     result_q.put(ControlReply(req_id=item.req_id,
                                               shard=plan.index, value=value))
                 except BaseException as exc:  # noqa: BLE001 - boundary
@@ -124,9 +125,8 @@ def worker_main(plan: ShardPlan, users: Sequence[str], pool_capacity: int,
                 shard.close()
             except Exception:  # noqa: BLE001 - shutdown best effort
                 pass
-        snapshot = [row for row in registry.snapshot()
-                    if row["name"] not in PER_TICKET_FOLDED]
-        result_q.put(WorkerExit(shard=plan.index, metrics=snapshot))
+        result_q.put(WorkerExit(shard=plan.index,
+                                metrics=registry.snapshot()))
         result_q.close()
 
 

@@ -2,10 +2,12 @@
 
 Thread-mode workers and process-mode workers run the *same* serving code
 path — classify → lease a pooled container → login → session ops →
-resolve → scrubbed release — via one :class:`ShardServer` per shard. The
-executor owns queues, futures, and lifecycle; this module owns only what
-happens to a single ticket once a worker picks it up, so the two worker
-modes can never drift apart behaviourally.
+resolve → scrubbed release — via one :class:`ShardServer` per shard, and
+both hand its result and trail back to the executor's one settle path.
+The executor owns queues, futures, per-ticket metrics, the store, and
+lifecycle; this module owns only what happens to a single ticket once a
+worker picks it up, so the two worker modes can never drift apart
+behaviourally.
 """
 
 from __future__ import annotations
@@ -16,19 +18,18 @@ from typing import Callable, Optional, Tuple
 from repro.api import TicketResult
 from repro.broker import BrokerClient
 from repro.containit.container import AdminShell
-from repro.controlplane._types import ClassifierLike, MetricScope
+from repro.controlplane._types import ClassifierLike
 from repro.controlplane.sharding import KernelShard
 from repro.errors import ReproError
 from repro.store.protocol import (
     CertificateRow,
-    EventStore,
     SessionRow,
     SessionTrail,
     TicketRow,
     TrailBuffer,
 )
 
-__all__ = ["ShardServer", "LATENCY_BUCKETS", "default_session_ops"]
+__all__ = ["ShardServer", "default_session_ops"]
 
 
 def default_session_ops(shell: AdminShell, client: BrokerClient) -> None:
@@ -42,93 +43,39 @@ def default_session_ops(shell: AdminShell, client: BrokerClient) -> None:
     shell.hostname()
     client.pb("ps -a")
 
-#: End-to-end (admission -> completion) latency buckets: finer than the
-#: decade-wide defaults so the histogram supports meaningful percentile
-#: reads at storm rates.
-LATENCY_BUCKETS = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, float("inf"))
-
 
 class ShardServer:
     """Serves tickets end-to-end on one shard (thread or process worker).
 
-    ``registry`` is the worker's metric scope: the plane-scoped registry
-    in thread mode, the worker's private fold-back registry in process
-    mode — the series names and labels are identical either way.
-
-    ``store``/``capture`` wire the durable event store in. With a store
-    (thread mode) each served session's full trail — session row, ticket
-    row, revoked certificate, every audit event — is persisted directly.
-    With ``capture=True`` but no store (process mode) the trail is
-    assembled and *returned* instead, to ride the result envelope back to
-    the parent, which owns the single-writer store connection.
+    Every served session's full trail — session row, ticket row, revoked
+    certificate, every audit event — is assembled and *returned*: the
+    executor persists it from its settle path, which owns the single
+    store connection, whichever side of a process boundary the server
+    ran on.
     """
 
-    def __init__(self, shard: KernelShard, classifier: ClassifierLike,
-                 registry: MetricScope,
-                 store: Optional[EventStore] = None,
-                 capture: bool = False) -> None:
+    def __init__(self, shard: KernelShard, classifier: ClassifierLike) -> None:
         self.shard = shard
         self.classifier = classifier
-        self.store = store
-        self.capture = capture or store is not None
-        self.trails: Optional[TrailBuffer] = None
-        if self.capture:
-            # the pool flushes every rotated-out (and discarded) audit
-            # epoch here; trail assembly pops the session's records
-            self.trails = TrailBuffer()
-            shard.pool.sink = self.trails
-        self.m_latency = registry.histogram(
-            "controlplane_session_seconds", shard=shard.index)
-        self.m_e2e = registry.histogram(
-            "controlplane_ticket_latency_seconds",
-            buckets=LATENCY_BUCKETS, shard=shard.index)
-        self.m_resolved = registry.counter(
-            "controlplane_tickets_served", shard=shard.index,
-            outcome="resolved")
-        self.m_errored = registry.counter(
-            "controlplane_tickets_served", shard=shard.index,
-            outcome="errored")
-        self.m_store_errors = registry.counter(
-            "controlplane_store_errors_total")
-
-    def serve(self, reporter: str, text: str, machine: str, admin: str,
-              ops: Optional[Callable[[AdminShell, BrokerClient], None]],
-              enqueued_at: Optional[float] = None,
-              session_id: Optional[str] = None, org_name: str = "default",
-              boot: int = 0) -> TicketResult:
-        """One full Figure 3 session; persists the trail when storing."""
-        result, trail = self.serve_traced(
-            reporter, text, machine, admin, ops, enqueued_at=enqueued_at,
-            session_id=session_id, org_name=org_name, boot=boot)
-        if self.store is not None and trail is not None:
-            # a sick store must degrade forensics, never ticket serving
-            try:
-                self.store.put_trail(trail)
-            except Exception:  # noqa: BLE001 - worker must survive
-                self.m_store_errors.inc()
-        return result
+        # the pool flushes every rotated-out (and discarded) audit epoch
+        # here; trail assembly pops the session's records
+        self.trails = TrailBuffer()
+        shard.pool.sink = self.trails
 
     def serve_traced(
             self, reporter: str, text: str, machine: str, admin: str,
             ops: Optional[Callable[[AdminShell, BrokerClient], None]],
-            enqueued_at: Optional[float] = None,
-            session_id: Optional[str] = None, org_name: str = "default",
-            boot: int = 0,
-    ) -> Tuple[TicketResult, Optional[SessionTrail]]:
+            *, session_id: str, org_name: str = "default",
+    ) -> Tuple[TicketResult, SessionTrail]:
         """One full Figure 3 session on a pooled container.
 
-        ``enqueued_at`` (the producer's per-ticket admission clock read)
-        turns into ``latency_s`` on the result — meaningful in-process;
-        process mode overwrites it parent-side so the measurement never
-        mixes clocks across processes.
-
-        When capturing, the second return value is the session's full
-        :class:`SessionTrail` — assembled *after* release, at which point
-        the pool has flushed every audit epoch the session produced into
-        the trail buffer. The caller decides what to do with it: thread
-        mode persists in-process, process mode ships it to the parent.
+        ``session_id`` is minted by the executor at admission. The second
+        return value is the session's full :class:`SessionTrail` —
+        assembled *after* release, at which point the pool has flushed
+        every audit epoch the session produced into the trail buffer.
+        The result's ``latency_s`` and the trail's ``latency_s``/``boot``
+        are placeholders (the session duration, boot 0): the settle path
+        re-stamps them on the executor's clock and boot epoch.
         """
         shard = self.shard
         org = shard.org
@@ -136,10 +83,6 @@ class ShardServer:
         ticket = org.submit_ticket(reporter, text, machine=machine)
         ticket.classify_as(self.classifier.classify(text))
         ticket.assign_to(admin)
-        if self.capture and session_id is None:
-            # direct serve() callers (no plane minting boot-scoped ids)
-            # still get a per-run-unique key: org ticket ids are monotonic
-            session_id = f"{org_name}-shard{shard.index}-t{ticket.ticket_id}"
         spec = org.images.get(ticket.predicted_class)
         pooled = shard.pool.acquire(spec, machine, user=reporter,
                                     ticket_class=ticket.predicted_class)
@@ -171,44 +114,37 @@ class ShardServer:
             # an errored session must NOT transition the org's ticket to
             # resolved — it stays open (assigned) for a retry or triage
             ticket.resolve()
-        done = time.perf_counter()
-        duration = done - started
-        latency = done - enqueued_at if enqueued_at is not None else duration
-        (self.m_resolved if error is None else self.m_errored).inc()
-        self.m_latency.observe(duration)
-        self.m_e2e.observe(latency)
+        duration = time.perf_counter() - started
         result = TicketResult(
             ticket_id=ticket.ticket_id,
             ticket_class=ticket.predicted_class or "?",
             machine=machine, admin=admin, resolved=error is None,
             error=error, audit_records=audit_records, duration_s=duration,
-            latency_s=latency, shard=shard.index, pool_hit=pool_hit,
+            latency_s=duration, shard=shard.index, pool_hit=pool_hit,
             session_id=session_id)
-        trail: Optional[SessionTrail] = None
-        if self.capture and session_id is not None and self.trails is not None:
-            trail = SessionTrail(
-                session=SessionRow(
-                    session_id=session_id, org=org_name, boot=boot,
-                    shard=shard.index, ticket_id=ticket.ticket_id,
-                    ticket_class=ticket.predicted_class or "?",
-                    machine=machine, admin=admin, reporter=reporter,
-                    resolved=error is None, error=error,
-                    audit_records=audit_records, duration_s=duration,
-                    latency_s=latency, pool_hit=pool_hit,
-                    created_at=time.time()),
-                ticket=TicketRow(
-                    session_id=session_id, ticket_id=ticket.ticket_id,
-                    org=org_name, reporter=reporter, text=text,
-                    machine=machine,
-                    ticket_class=ticket.predicted_class or "?",
-                    status=ticket.status.name),
-                certificates=(CertificateRow(
-                    session_id=session_id, serial=certificate.serial,
-                    admin=admin, ticket_id=ticket.ticket_id,
-                    machine=machine,
-                    ticket_class=ticket.predicted_class or "?",
-                    issued_at=certificate.issued_at,
-                    expires_at=certificate.expires_at,
-                    signature=certificate.signature, revoked=True),),
-                events=self.trails.pop(session_id))
+        trail = SessionTrail(
+            session=SessionRow(
+                session_id=session_id, org=org_name, boot=0,
+                shard=shard.index, ticket_id=ticket.ticket_id,
+                ticket_class=ticket.predicted_class or "?",
+                machine=machine, admin=admin, reporter=reporter,
+                resolved=error is None, error=error,
+                audit_records=audit_records, duration_s=duration,
+                latency_s=duration, pool_hit=pool_hit,
+                created_at=time.time()),
+            ticket=TicketRow(
+                session_id=session_id, ticket_id=ticket.ticket_id,
+                org=org_name, reporter=reporter, text=text,
+                machine=machine,
+                ticket_class=ticket.predicted_class or "?",
+                status=ticket.status.name),
+            certificates=(CertificateRow(
+                session_id=session_id, serial=certificate.serial,
+                admin=admin, ticket_id=ticket.ticket_id,
+                machine=machine,
+                ticket_class=ticket.predicted_class or "?",
+                issued_at=certificate.issued_at,
+                expires_at=certificate.expires_at,
+                signature=certificate.signature, revoked=True),),
+            events=self.trails.pop(session_id))
         return result, trail

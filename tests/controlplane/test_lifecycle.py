@@ -48,8 +48,14 @@ class TestSubmitCloseRace:
     before the sentinel, so every admitted future completes."""
 
     def test_racing_submit_never_strands_a_future(self):
+        self._race(workers="thread")
+
+    def test_racing_submit_never_strands_a_future_with_processes(self):
+        self._race(workers="process")
+
+    def _race(self, workers):
         for _ in range(15):
-            plane = make_plane(queue_depth=16)
+            plane = make_plane(queue_depth=16, workers=workers)
             futures = []
             go = threading.Event()
 

@@ -44,12 +44,15 @@ def _reaped(pid):
     return False
 
 
-class TestServingParity:
-    """The same storm answered identically by both worker modes."""
+class _ParityCases:
+    """Serving cases that do not depend on the worker mode; each subclass
+    runs them on a plane of its own mode."""
+
+    WORKERS = ""
 
     @pytest.fixture(scope="class")
     def plane(self):
-        plane = make_plane().start()
+        plane = make_plane(workers=self.WORKERS).start()
         plane.register_admin(ADMIN)
         yield plane
         plane.close()
@@ -91,12 +94,6 @@ class TestServingParity:
         # marshalling must not stack errno prefixes across the boundary
         assert result.error.count("[ENOENT]") <= 1
 
-    def test_foreign_exception_degrades_to_typed_repro_error(self, plane):
-        future = plane.submit("alice", TEXT, machine="ws-01", admin=ADMIN,
-                              ops=_foreign_bug_ops)
-        with pytest.raises(ReproError, match="ValueError: session body bug"):
-            future.result(timeout=60)
-
     def test_per_ticket_metrics_fold_back_live(self, plane):
         before = plane.metrics.total("controlplane_tickets_served")
         plane.submit("alice", TEXT, machine="ws-03",
@@ -106,11 +103,57 @@ class TestServingParity:
         assert after == before + 1
         assert plane.pool_hit_rate() > 0
 
+    def test_per_ticket_series_count_each_settled_ticket_once(self):
+        # a plane of its own, so every count starts from zero
+        plane = make_plane(workers=self.WORKERS).start()
+        plane.register_admin(ADMIN)
+        try:
+            futures = plane.submit_many(
+                [("alice", TEXT, m) for m in MACHINES * 2], ADMIN)
+            futures.append(plane.submit("bob", TEXT, machine="ws-01",
+                                        admin=ADMIN, ops=_bad_path_ops))
+            plane.drain()
+            settled = [f.result(timeout=0) for f in futures]
+        finally:
+            plane.close()
+        assert not settled[-1].resolved  # errored sessions count too
+        assert plane.metrics.total(
+            "controlplane_tickets_served") == len(settled)
+        assert (plane.metrics.total("controlplane_pool_acquires",
+                                    outcome="hit")
+                + plane.metrics.total("controlplane_pool_acquires",
+                                      outcome="miss")) == len(settled)
+
+
+class TestServingParity(_ParityCases):
+    """The same storm answered identically by both worker modes: the
+    process-mode half, plus what only process workers have."""
+
+    WORKERS = "process"
+
+    def test_foreign_exception_degrades_to_typed_repro_error(self, plane):
+        future = plane.submit("alice", TEXT, machine="ws-01", admin=ADMIN,
+                              ops=_foreign_bug_ops)
+        with pytest.raises(ReproError, match="ValueError: session body bug"):
+            future.result(timeout=60)
+
     def test_worker_pids_are_live_children(self, plane):
         pids = plane.worker_pids()
         assert len(pids) == len(plane.router.plans)
         for pid in pids.values():
             assert pid is not None and not _reaped(pid)
+
+
+class TestServingParityThreads(_ParityCases):
+    """The thread-mode half of the parity cases."""
+
+    WORKERS = "thread"
+
+    def test_foreign_exception_reaches_the_caller_raw(self, plane):
+        future = plane.submit("alice", TEXT, machine="ws-01", admin=ADMIN,
+                              ops=_foreign_bug_ops)
+        with pytest.raises(ValueError, match="session body bug"):
+            future.result(timeout=60)
 
 
 class TestRegistrationAndPrewarm:
