@@ -57,6 +57,7 @@ class CrossCheckResult:
     con003_verdicts: List[Dict[str, object]]
     storm_elapsed_s: float = 0.0
     storm_tickets: int = 0
+    storm_errors: int = 0       # storm tickets that did not resolve
     chaos_iterations: int = 0
     chaos_ok: bool = True
     elapsed_s: float = 0.0
@@ -85,6 +86,7 @@ class CrossCheckResult:
             "con003_verdicts": list(self.con003_verdicts),
             "storm_elapsed_s": self.storm_elapsed_s,
             "storm_tickets": self.storm_tickets,
+            "storm_errors": self.storm_errors,
             "chaos_iterations": self.chaos_iterations,
             "chaos_ok": self.chaos_ok,
             "consistent": self.consistent,
@@ -105,7 +107,8 @@ class CrossCheckResult:
             f"({len(self.mapped_edges)} between repro locks, rest touch "
             f"stdlib-born locks)",
             f"  workloads: {self.storm_tickets}-ticket storm in "
-            f"{self.storm_elapsed_s:.2f}s, "
+            f"{self.storm_elapsed_s:.2f}s "
+            f"({self.storm_errors} unresolved), "
             f"{self.chaos_iterations}-iteration chaos soak "
             f"({'ok' if self.chaos_ok else 'CONVERSIONS'})",
             f"  dynamic cycles (deadlock witnesses): "
@@ -225,6 +228,7 @@ def run_crosscheck(tickets: int = 160, storm_seed: int = 11,
         con003_verdicts=classify_con003(analysis, san),
         storm_elapsed_s=storm_report.elapsed_s,
         storm_tickets=storm_report.tickets,
+        storm_errors=storm_report.errors,
         chaos_iterations=chaos_iterations,
         chaos_ok=chaos_ok,
         elapsed_s=time.perf_counter() - started)

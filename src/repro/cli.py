@@ -249,7 +249,8 @@ def _cmd_lint_threads(args) -> int:
         else:
             print()
             print(crosscheck.format())
-        if not (crosscheck.consistent and crosscheck.deadlock_free):
+        if not (crosscheck.consistent and crosscheck.deadlock_free
+                and crosscheck.storm_errors == 0):
             status = 1
     return status
 
@@ -552,8 +553,10 @@ def _run_daemon(args) -> int:
 def _cmd_serve(args) -> int:
     """Run the control plane as a one-shot storm or a persistent daemon.
 
-    Exit status 2 for usage errors, 1 when any ticket fails to resolve
-    (storm mode) or the drain left tickets behind (daemon mode).
+    The one-shot storm is a load and persistence smoke, not a latency
+    benchmark: ``perfbench/run.py`` measures serving latency. Exit status
+    2 for usage errors, 1 when any ticket fails to resolve (storm mode)
+    or the drain left tickets behind (daemon mode).
     """
     if args.shards < 1:
         print(f"repro serve: --shards must be >= 1, got {args.shards}",
@@ -580,7 +583,6 @@ def _cmd_serve(args) -> int:
 
     from repro.workload.storm import (
         generate_storm,
-        run_storm_serial,
         run_storm_sharded,
         train_storm_classifier,
     )
@@ -596,39 +598,23 @@ def _cmd_serve(args) -> int:
     if args.db:
         from repro.store import SQLiteStore
         store = SQLiteStore(args.db)
-    reports = {}
-    if args.serial_baseline:
-        reports["serial"] = run_storm_serial(storm, classifier=classifier)
-    reports["sharded"] = run_storm_sharded(
+    report = run_storm_sharded(
         storm, classifier=classifier, shards=args.shards,
         pool_size=args.pool_size, queue_depth=args.queue_depth,
         workers=args.workers, store=store, org=args.org)
-
-    sharded = reports["sharded"]
     metrics = {
-        "tickets": sharded.tickets,
-        "unique_texts": sharded.unique_texts,
-        "shards": sharded.shards,
-        "workers": sharded.workers,
-        "sharded_tickets_per_s": round(sharded.tickets_per_s, 1),
-        "sharded_tickets_per_s_per_core": round(
-            sharded.tickets_per_s_per_core, 1),
-        "latency_p50_ms": round(sharded.latency_p50_s * 1000, 3),
-        "latency_p95_ms": round(sharded.latency_p95_s * 1000, 3),
-        "latency_p99_ms": round(sharded.latency_p99_s * 1000, 3),
-        "pool_hit_rate": round(sharded.pool_hit_rate, 4),
-        "errors": sharded.errors,
+        "tickets": report.tickets,
+        "unique_texts": report.unique_texts,
+        "shards": report.shards,
+        "workers": report.workers,
+        "sharded_tickets_per_s": round(report.tickets_per_s, 1),
+        "pool_hit_rate": round(report.pool_hit_rate, 4),
+        "errors": report.errors,
     }
-    if "serial" in reports:
-        serial = reports["serial"]
-        metrics["serial_tickets_per_s"] = round(serial.tickets_per_s, 1)
-        metrics["speedup"] = round(
-            sharded.tickets_per_s / serial.tickets_per_s, 2)
-        metrics["errors"] += serial.errors
-
-    if args.bench_out or store is not None:
+    if store is not None:
         from repro.experiments.schema import ExperimentReport
-        report_doc = ExperimentReport(
+        from repro.store import report_to_row
+        store.put_bench_run(report_to_row(ExperimentReport(
             name="controlplane-throughput",
             params={"tickets": args.tickets, "shards": args.shards,
                     "pool_size": args.pool_size,
@@ -637,36 +623,22 @@ def _cmd_serve(args) -> int:
                     "queue_depth": args.queue_depth,
                     "workers": args.workers},
             metrics=metrics,
-            artifacts={mode: rep.to_dict()
-                       for mode, rep in reports.items()},
-        )
-        if args.bench_out:
-            report_doc.write(args.bench_out)
-            print(f"benchmark report written to {args.bench_out}",
-                  file=sys.stderr)
-        if store is not None:
-            from repro.store import report_to_row
-            store.put_bench_run(report_to_row(report_doc))
-            counts = store.counts()
-            print(f"{counts['sessions']} sessions persisted to {args.db}; "
-                  f"replay one with: repro replay --db {args.db} --latest",
-                  file=sys.stderr)
-            store.close()
+            artifacts={"sharded": report.to_dict()},
+        )))
+        counts = store.counts()
+        print(f"{counts['sessions']} sessions persisted to {args.db}; "
+              f"replay one with: repro replay --db {args.db} --latest",
+              file=sys.stderr)
+        store.close()
     if args.json:
         import json as _json
         print(_json.dumps(metrics, indent=2, sort_keys=True))
     else:
-        for mode, rep in reports.items():
-            print(f"{mode:>7}: {rep.tickets_per_s:8.1f} tickets/s "
-                  f"(p50 {rep.latency_p50_s * 1000:.1f}ms, "
-                  f"p99 {rep.latency_p99_s * 1000:.1f}ms, "
-                  f"{rep.tickets} tickets, {rep.errors} errors"
-                  + (f", {rep.workers} workers, "
-                     f"pool hit rate {rep.pool_hit_rate:.0%}"
-                     if mode == "sharded" else "") + ")")
-        if "speedup" in metrics:
-            print(f"speedup: {metrics['speedup']}x")
-    return 0 if metrics["errors"] == 0 else 1
+        print(f"served {report.tickets} tickets at "
+              f"{report.tickets_per_s:.1f} tickets/s "
+              f"({report.errors} errors, {report.workers} workers, "
+              f"pool hit rate {report.pool_hit_rate:.0%})")
+    return 0 if report.errors == 0 else 1
 
 
 def _cmd_replay(args) -> int:
@@ -989,11 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="keyword",
                        help="ticket classifier (lda = the paper's "
                             "pipeline, slower to train)")
-    p_srv.add_argument("--serial-baseline", action="store_true",
-                       help="also run the one-at-a-time baseline and "
-                            "report the speedup")
-    p_srv.add_argument("--bench-out", metavar="PATH", default=None,
-                       help="write an experiment report (JSON) to PATH")
     p_srv.add_argument("--json", action="store_true",
                        help="machine-readable summary on stdout")
     p_srv.add_argument("--daemon", action="store_true",

@@ -11,12 +11,14 @@ hot path almost entirely.
 :class:`BatchingClassifier` wraps any classifier exposing
 ``classify(text) -> str``; it is safe to share across shard worker
 threads — exactly one inner inference runs per unique text, even when
-several workers race on the same key.
+several workers race on the same key: the first caller infers, and later
+callers for the same key wait on its in-flight future.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -46,6 +48,8 @@ class BatchingClassifier:
         #: exact-text front table: verbatim repeats (the common storm case)
         #: skip even the preprocessing pass
         self._by_text: Dict[str, str] = {}
+        #: single-flight table: keys whose inference is running right now
+        self._inflight: Dict[MemoKey, "Future[str]"] = {}
         self._lock = threading.Lock()
         # ``registry`` may be a per-plane scoped view (see ContainerPool)
         registry = registry if registry is not None else obs.registry()
@@ -58,6 +62,47 @@ class BatchingClassifier:
     def _key(text: str) -> MemoKey:
         return tuple(tokenize(text))
 
+    def _resolve(self, key: MemoKey, text: str) -> str:
+        """The label for ``key``: from the memo, from an inference already
+        in flight, or from one this call runs.
+
+        Inference runs outside ``_lock``, so distinct keys classify in
+        parallel. If it raises, every caller waiting on the key gets the
+        same exception and the key stays unmemoized, so a later call
+        retries.
+        """
+        flight: "Future[str]" = Future()
+        with self._lock:
+            hit = self._memo.get(key)
+            if hit is not None:
+                self._by_text[text] = hit
+            else:
+                running = self._inflight.setdefault(key, flight)
+        if hit is not None:
+            self._hits.inc()
+            return hit
+        if running is not flight:
+            predicted = running.result()
+            self._hits.inc()  # no inference ran on this caller's behalf
+            return predicted
+        try:
+            predicted = self.inner.classify(text)
+        except BaseException as exc:
+            with self._lock:
+                del self._inflight[key]
+            flight.set_exception(exc)
+            raise
+        self._misses.inc()
+        with self._lock:
+            if len(self._memo) >= self.max_entries:
+                self._memo.clear()  # storm memo, not an archive: flush whole
+                self._by_text.clear()
+            self._memo[key] = predicted
+            self._by_text[text] = predicted
+            del self._inflight[key]
+        flight.set_result(predicted)
+        return predicted
+
     # ------------------------------------------------------------------
 
     def classify(self, text: str) -> str:
@@ -67,49 +112,17 @@ class BatchingClassifier:
         if hit is not None:
             self._hits.inc()
             return hit
-        key = self._key(text)
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self._by_text[text] = hit
-        if hit is not None:
-            self._hits.inc()
-            return hit
-        # inference happens outside the lock: one duplicate inference under
-        # a rare race is cheaper than serializing every miss
-        predicted = self.inner.classify(text)
-        self._misses.inc()
-        with self._lock:
-            if len(self._memo) >= self.max_entries:
-                self._memo.clear()  # storm memo, not an archive: flush whole
-                self._by_text.clear()
-            self._memo.setdefault(key, predicted)
-            self._by_text[text] = self._memo[key]
-        return predicted
+        return self._resolve(self._key(text), text)
 
     def classify_batch(self, texts: Sequence[str]) -> List[str]:
         """Classify many texts with one inference per unique token stream."""
         keys = [self._key(text) for text in texts]
-        with self._lock:
-            memo = dict(self._memo)
-        pending: Dict[MemoKey, str] = {}
+        labels: Dict[MemoKey, str] = {}
         for key, text in zip(keys, texts):
-            if key not in memo and key not in pending:
-                pending[key] = text
-        fresh = {key: self.inner.classify(text)
-                 for key, text in pending.items()}
-        self._hits.inc(len(keys) - len(fresh))
-        self._misses.inc(len(fresh))
-        with self._lock:
-            if len(self._memo) + len(fresh) > self.max_entries:
-                self._memo.clear()
-                self._by_text.clear()
-            self._memo.update(fresh)
-            for key, text in zip(keys, texts):
-                self._by_text.setdefault(text, (memo.get(key)
-                                                or fresh.get(key)))
-        memo.update(fresh)
-        return [memo[key] for key in keys]
+            if key not in labels:
+                labels[key] = self._resolve(key, text)
+        self._hits.inc(len(keys) - len(labels))  # repeats within the batch
+        return [labels[key] for key in keys]
 
     # ------------------------------------------------------------------
 

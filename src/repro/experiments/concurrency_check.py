@@ -57,9 +57,11 @@ def run_concurrency_check(tickets: int = 320, seed: int = 11,
     # one unmeasured warmup absorbs classifier/cache cold starts
     run_storm_sharded(storm, shards=shards, workers="thread")
     plain_runs = []
+    storm_errors = 0
     for _ in range(max(1, repeats)):
         report = run_storm_sharded(storm, shards=shards, workers="thread")
         plain_runs.append(report.elapsed_s)
+        storm_errors += report.errors
     sanitizer = LockOrderSanitizer()
     instrumented_runs = []
     for _ in range(max(1, repeats)):
@@ -67,6 +69,7 @@ def run_concurrency_check(tickets: int = 320, seed: int = 11,
             report = run_storm_sharded(storm, shards=shards,
                                        workers="thread")
         instrumented_runs.append(report.elapsed_s)
+        storm_errors += report.errors
     chaos_ok = True
     if chaos_iterations > 0:
         with instrument(sanitizer):
@@ -88,6 +91,7 @@ def run_concurrency_check(tickets: int = 320, seed: int = 11,
         con003_verdicts=classify_con003(analysis, sanitizer),
         storm_elapsed_s=min(instrumented_runs),
         storm_tickets=tickets,
+        storm_errors=storm_errors,
         chaos_iterations=chaos_iterations,
         chaos_ok=chaos_ok)
     plain_s = min(plain_runs)
@@ -113,6 +117,7 @@ def run_concurrency_check(tickets: int = 320, seed: int = 11,
             "static_cycles": len(analysis.cycles),
             "storm_plain_s": plain_s,
             "storm_instrumented_s": instrumented_s,
+            "storm_errors": storm_errors,
             "sanitizer_overhead_pct": overhead_pct,
             "overhead_within_budget": overhead_pct < OVERHEAD_BUDGET_PCT,
             "dynamic_lock_sites": crosscheck.dynamic_sites,
@@ -125,6 +130,7 @@ def run_concurrency_check(tickets: int = 320, seed: int = 11,
             "deadlock_free": crosscheck.deadlock_free,
             "ok": (crosscheck.consistent and crosscheck.deadlock_free
                    and chaos_ok and not analysis.cycles
+                   and storm_errors == 0
                    and overhead_pct < OVERHEAD_BUDGET_PCT),
         },
         artifacts={"crosscheck": crosscheck.to_dict()},

@@ -1,7 +1,7 @@
 """The unified experiment-result schema.
 
 Every artifact this repo emits — ``--metrics-out`` dumps, the
-``BENCH_*.json`` benchmark files, ``repro serve --bench-out`` — is one
+``BENCH_*.json`` benchmark files, the ``repro serve --db`` bench row — is one
 :class:`ExperimentReport`: a name, the parameters that produced it, a
 flat scalar ``metrics`` dict (the headline numbers), and free-form
 ``artifacts`` for anything structured (snapshots, per-phase payloads).

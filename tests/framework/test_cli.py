@@ -284,18 +284,16 @@ class TestServe:
         assert payload["errors"] == 0
         assert payload["sharded_tickets_per_s"] > 0
 
-    def test_serve_bench_out_uses_the_report_schema(self, tmp_path, capsys):
+    def test_serve_smoke_process_workers(self, capsys):
         import json
-        out_path = tmp_path / "bench.json"
-        assert main(["serve", "--shards", "1", "--tickets", "6",
-                     "--duplicates", "0.5", "--pool-size", "1",
-                     "--serial-baseline", "--bench-out", str(out_path)]) == 0
-        report = json.loads(out_path.read_text())
-        assert report["schema"] == "watchit-experiment-report/v1"
-        assert report["name"] == "controlplane-throughput"
-        assert "speedup" in report["metrics"]
-        assert report["artifacts"]["sharded"]["mode"] == "sharded"
-        capsys.readouterr()
+        assert main(["serve", "--shards", "2", "--tickets", "16",
+                     "--duplicates", "0.1", "--pool-size", "1",
+                     "--workers", "process", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["workers"] == "process"
+        assert payload["tickets"] == 16
+        assert payload["errors"] == 0
+        assert payload["sharded_tickets_per_s"] > 0
 
 
 class TestReplayHistory:

@@ -1,4 +1,4 @@
-"""Ticket-storm generation and the serial/sharded storm drivers."""
+"""Ticket-storm generation and the storm load driver."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.workload.storm import (
     STORM_MACHINES,
     STORM_USERS,
     generate_storm,
-    run_storm_serial,
     run_storm_sharded,
 )
 
@@ -41,7 +40,7 @@ class TestGenerateStorm:
 
 
 class TestStormDrivers:
-    """End-to-end smoke: both drivers serve a small storm error-free."""
+    """End-to-end smoke: the driver serves a small storm error-free."""
 
     @pytest.fixture(scope="class")
     def storm(self):
@@ -49,42 +48,26 @@ class TestStormDrivers:
                               machines=("ws-01", "ws-02"),
                               users=("alice", "bob"))
 
-    def test_serial_driver(self, storm):
-        report = run_storm_serial(storm, warmup=2)
-        assert report.mode == "serial"
-        assert report.tickets == 10  # warmup excluded from the count
-        assert report.errors == 0
-        assert report.tickets_per_s > 0
-
     def test_sharded_driver(self, storm):
-        report = run_storm_sharded(storm, shards=2, pool_size=1, warmup=2)
-        assert report.mode == "sharded"
+        report = run_storm_sharded(storm, shards=2, pool_size=1)
         assert report.workers == "thread"
-        assert report.tickets == 10
+        assert report.tickets == 12
         assert report.errors == 0
         assert report.shards >= 1
-        assert report.pool_hit_rate > 0  # prewarmed: leases hit the pool
-        assert (0 < report.latency_p50_s <= report.latency_p95_s
-                <= report.latency_p99_s)
+        assert report.pool_hit_rate > 0.9  # prewarmed: leases hit the pool
 
     def test_sharded_driver_process_workers(self, storm):
-        report = run_storm_sharded(storm, shards=2, pool_size=1, warmup=2,
+        report = run_storm_sharded(storm, shards=2, pool_size=1,
                                    workers="process")
-        assert report.mode == "sharded"
         assert report.workers == "process"
-        assert report.tickets == 10
+        assert report.tickets == 12
         assert report.errors == 0
-        assert (0 < report.latency_p50_s <= report.latency_p95_s
-                <= report.latency_p99_s)
-        assert report.tickets_per_s_per_core > 0
+        assert report.pool_hit_rate > 0.9
 
     def test_report_to_dict_is_flat(self, storm):
-        row = run_storm_serial(storm).to_dict()
-        assert row["mode"] == "serial"
-        assert row["workers"] == "inline"
-        assert 0 < row["latency_p50_s"] <= row["latency_p99_s"]
-        assert set(row) == {"mode", "tickets", "unique_texts", "elapsed_s",
+        row = run_storm_sharded(storm, shards=2, pool_size=1).to_dict()
+        assert row["workers"] == "thread"
+        assert row["tickets"] == 12 and row["tickets_per_s"] > 0
+        assert set(row) == {"tickets", "unique_texts", "elapsed_s",
                             "tickets_per_s", "errors", "shards",
-                            "pool_hit_rate", "workers", "n_workers",
-                            "latency_p50_s", "latency_p95_s",
-                            "latency_p99_s", "tickets_per_s_per_core"}
+                            "pool_hit_rate", "workers"}
