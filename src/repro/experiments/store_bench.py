@@ -7,12 +7,13 @@ forensic trail into WAL-mode SQLite cost, relative to the in-memory
 store, on the same sustained thread-mode storm?
 
 Both configurations capture trails — the comparison isolates the *SQLite
-write path* (one ``BEGIN IMMEDIATE`` transaction per session), not trail
-assembly. Min-of-N elapsed per configuration, because scheduler noise on
-a sub-second storm otherwise dominates; the gate is
-``overhead_pct <= 10``. The report also proves the durability claim in
-passing: after the timed runs, the newest persisted trail is re-read
-from the database and its hash chains re-verified.
+write path* (group commit: one ``BEGIN IMMEDIATE`` transaction per
+``batch=64`` buffered session trails), not trail assembly. Min-of-N
+elapsed per configuration, because scheduler noise on a sub-second storm
+otherwise dominates; the gate is ``overhead_pct <= 10``. The report also
+proves the durability claim in passing: after the timed runs, the newest
+persisted trail is re-read from the database and its hash chains
+re-verified.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ from repro.errors import AccessBlocked, FileNotFound
 from repro.faults import plane as _faults
 from repro.itfs.audit import AppendOnlyLog
 from repro.itfs.policy import PolicyManager
-from repro.kernel.vfs import FileType, Filesystem, Inode, OpContext, StatResult, join_path
+from repro.kernel.vfs import (FileType, Filesystem, Inode, OpContext, StatResult,
+                              join_path, normalize_path)
 
 #: Default bound on the pass-through decision cache. One entry per
 #: (op, path) pair; a long-lived container touching an unbounded working
@@ -130,6 +131,8 @@ class ITFS(Filesystem):
 
     def translate_to_backing(self, fspath: str) -> str:
         """Map an ITFS-internal path to the backing filesystem path."""
+        if self.backing_subpath == "/":
+            return normalize_path(fspath)
         return join_path(self.backing_subpath, fspath)
 
     def _actor(self, ctx: OpContext | None) -> str:
@@ -315,6 +318,9 @@ class ITFS(Filesystem):
 
     def stat(self, path: str, ctx: OpContext | None = None) -> StatResult:
         bpath = self.translate_to_backing(path)
+        if self.policy.log_all and self.policy.log_meta:
+            self.audit.append(actor=self._actor(ctx), op="stat", path=bpath,
+                              decision="allow")
         return self.backing_fs.stat(bpath, ctx)
 
     def read(self, path: str, ctx: OpContext | None = None) -> bytes:

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import FileNotFound, InvalidArgument, ResourceBusy
 from repro.kernel.namespaces import Namespace, NamespaceKind
-from repro.kernel.vfs import Filesystem, is_subpath, join_path, normalize_path
+from repro.kernel.vfs import Filesystem, is_subpath, normalize_path
 
 
 @dataclass
@@ -44,10 +44,17 @@ class Mount:
     def translate(self, vpath: str) -> str:
         """Map a namespace-visible path under this mount to an fs-internal path."""
         vpath = normalize_path(vpath)
-        if not is_subpath(vpath, self.mountpoint):
-            raise InvalidArgument(f"{vpath} is not under mountpoint {self.mountpoint}")
-        rest = vpath[len(self.mountpoint):] if self.mountpoint != "/" else vpath
-        return join_path(self.fs_subpath, rest)
+        mountpoint = self.mountpoint
+        # mountpoint and fs_subpath are normal, so ``rest`` is "" or "/a/b"
+        if mountpoint == "/":
+            rest = vpath if vpath != "/" else ""
+        elif vpath == mountpoint or vpath.startswith(mountpoint + "/"):
+            rest = vpath[len(mountpoint):]
+        else:
+            raise InvalidArgument(f"{vpath} is not under mountpoint {mountpoint}")
+        if self.fs_subpath == "/":
+            return rest or "/"
+        return self.fs_subpath + rest
 
     def entry(self) -> Tuple[str, str, str]:
         """``(source, mountpoint, fstype)`` — the paper's Figure 5 row format."""
@@ -98,8 +105,10 @@ class MountTable:
         best: Optional[Mount] = None
         best_len = -1
         for mount in self._mounts:  # later mounts shadow earlier, equal-depth ones
-            if is_subpath(vpath, mount.mountpoint):
-                depth = len(mount.mountpoint)
+            mountpoint = mount.mountpoint  # normal since Mount.__post_init__
+            if mountpoint == "/" or vpath == mountpoint \
+                    or vpath.startswith(mountpoint + "/"):
+                depth = len(mountpoint)
                 if depth >= best_len:
                     best, best_len = mount, depth
         if best is None:

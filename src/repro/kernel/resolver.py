@@ -79,7 +79,10 @@ def resolve(proc, path: str, *, follow_symlinks: bool = True,
     mount, fs, fspath, node = _lookup(table, proc, view, ctx)
     while comps:
         comp = comps.popleft()
-        cand_view = join_path(view, comp)
+        if comp == "." or comp == "..":  # from a relative symlink target
+            cand_view = join_path(view, comp)
+        else:  # ``view`` is normal, so one plain component just appends
+            cand_view = view + comp if view == "/" else view + "/" + comp
         mount, fs, fspath, node = _lookup(table, proc, cand_view, ctx)
         if node is None:
             if comps or must_exist:

@@ -36,7 +36,7 @@ from repro.kernel.devices import DEV_KMEM, DEV_MEM
 from repro.kernel.ipc import SharedMemorySegment, shm_list, shmget
 from repro.kernel.mount import Mount
 from repro.kernel.namespaces import NamespaceKind
-from repro.kernel.process import OpenFile, Process
+from repro.kernel.process import OpenFile, Process, ProcessState
 from repro.kernel.resolver import ResolvedPath, _real_fsid, _real_fspath, resolve
 from repro.kernel.vfs import (
     FileType,
@@ -434,11 +434,12 @@ class SyscallInterface:
 
     def ps(self, proc: Process) -> List[Dict[str, object]]:
         """List visible processes — the paper's ``ps -a`` vs ``PB ps -a``."""
-        rows = []
-        for local_pid, p in sorted(self._visible_processes(proc).items()):
-            rows.append({"pid": local_pid, "comm": p.comm,
-                         "state": p.state.value, "uid": p.creds.uid})
-        return rows
+        running = ProcessState.RUNNING
+        state = running.value  # every listed process is alive, i.e. RUNNING
+        return [{"pid": local_pid, "comm": p.comm, "state": state,
+                 "uid": p.creds.uid}
+                for local_pid, p in sorted(proc.namespaces.pid.processes.items())
+                if p.state is running]
 
     def find_process(self, proc: Process, nspid: int) -> Process:
         target = self._visible_processes(proc).get(nspid)

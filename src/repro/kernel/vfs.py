@@ -46,11 +46,20 @@ def normalize_path(path: str) -> str:
     The VFS works exclusively with absolute paths; relative paths are
     resolved against the process cwd before reaching this layer.
 
+    A path that is already normal (absolute, no empty, ``.`` or ``..``
+    component, no trailing ``/`` except for ``/`` itself) is returned
+    unchanged without being split: the resolver hands every lookup an
+    already-normal path, so this is the common case.
+
     Raises:
         InvalidArgument: if ``path`` is empty.
     """
     if not path:
         raise InvalidArgument("empty path")
+    if path == "/" or (path[0] == "/" and path[-1] != "/" and "//" not in path
+                       and "/./" not in path and "/../" not in path
+                       and not path.endswith(("/.", "/.."))):
+        return path
     parts: List[str] = []
     for part in path.split("/"):
         if part in ("", "."):

@@ -200,6 +200,24 @@ class TestAuditing:
         itfs.read("/home/alice/notes.txt")
         assert len(itfs.audit) == 0
 
+    def test_log_meta_audits_every_metadata_op(self, backing):
+        policy = PolicyManager(log_all=True, log_meta=True)
+        assert policy.evaluate("stat", "/home").log
+        itfs = make_itfs(backing, policy)
+        itfs.lookup("/home/alice")
+        itfs.readdir("/home/alice")
+        itfs.stat("/home/alice/notes.txt")
+        assert [(r.op, r.path) for r in itfs.audit.records] == [
+            ("lookup", "/home/alice"), ("readdir", "/home/alice"),
+            ("stat", "/home/alice/notes.txt")]
+
+    def test_metadata_ops_silent_without_log_meta(self, backing):
+        itfs = make_itfs(backing, PolicyManager(log_all=True))
+        itfs.lookup("/home/alice")
+        itfs.readdir("/home/alice")
+        itfs.stat("/home/alice/notes.txt")
+        assert len(itfs.audit) == 0
+
     def test_audit_chain_remains_valid(self, backing):
         itfs = make_itfs(backing, document_blocking_policy())
         for _ in range(3):
