@@ -8,9 +8,13 @@ serialize a request from a non-superuser shell.
 Transport note: the paper streams protobuf over gRPC/TCP; here requests
 cross a byte-serialization boundary (`to_bytes`/`handle_bytes`) delivered
 in-process, standing in for the local TCP hop — optionally through a
-:class:`~repro.broker.secure_channel.SecureBrokerTransport`. The isolation
-argument is unchanged: the client is a dumb serializer, all authority
-lives server-side.
+:class:`~repro.broker.secure_channel.SecureBrokerTransport`. The two
+directions use different codecs (see :mod:`repro.broker.protocol`):
+requests are schema-validated JSON, because the host-side broker parses
+them and the admin controls their sender; replies are ``marshal``, because
+only this client reads them, and over the secure transport only after
+their HMAC check. The isolation argument is unchanged: the client is a
+dumb serializer, all authority lives server-side.
 
 Resilience: transient transport failures (dropped or corrupted channel
 frames, broker timeouts) are retried with deterministic exponential

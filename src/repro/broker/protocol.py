@@ -1,10 +1,22 @@
 """Broker wire protocol.
 
 The paper serializes broker traffic with protocol buffers over gRPC; we
-reproduce the same discipline — a typed message schema with strict field
-validation and a byte-level serialization boundary — over JSON. Every
-request crosses this boundary even for in-process transports, so malformed
-or unauthorized messages are rejected exactly once, at the edge.
+reproduce the same discipline — a typed message schema and a byte-level
+serialization boundary — with one codec per direction:
+
+- **Requests (container → broker)** are JSON checked by
+  :meth:`BrokerRequest.validate`. They are the only broker bytes the TCB
+  parses, and they come from the container, which the admin controls, so
+  their decoder must be safe on hostile input. Every request crosses this
+  boundary even for in-process transports, so malformed or unauthorized
+  messages are rejected exactly once, at the edge.
+- **Replies (broker → client)** are an ``(ok, output, error)`` triple in
+  stdlib :mod:`marshal`. The broker writes them and only the client on
+  the admin's side reads them; over
+  :class:`~repro.broker.secure_channel.SecureBrokerTransport` the client
+  reads a reply only after its HMAC check. ``marshal``'s warning against
+  untrusted data therefore never applies to trusted code. Outputs keep
+  their Python types: ``mounts`` rows arrive as tuples, not lists.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import marshal
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -93,14 +106,23 @@ class BrokerResponse:
     error: str = ""
 
     def to_bytes(self) -> bytes:
-        return json.dumps({"ok": self.ok, "output": self.output,
-                           "error": self.error}, sort_keys=True).encode()
+        return marshal.dumps((self.ok, self.output, self.error))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BrokerResponse":
-        raw = json.loads(data.decode())
-        return cls(ok=bool(raw["ok"]), output=raw.get("output"),
-                   error=raw.get("error", ""))
+        """Decode a reply; anything but an ``(ok, output, error)`` triple
+        raises InvalidArgument. A forged container count makes ``marshal``
+        allocate that many slots, so a count beyond memory is malformed too.
+        """
+        try:
+            raw = marshal.loads(data)
+        except (EOFError, ValueError, TypeError, MemoryError) as exc:
+            raise InvalidArgument(f"malformed broker reply: {exc!r}") from exc
+        if type(raw) is not tuple or len(raw) != 3 or \
+                type(raw[0]) is not bool or type(raw[2]) is not str:
+            raise InvalidArgument(
+                "malformed broker reply: not an (ok, output, error) triple")
+        return cls(*raw)
 
 
 def parse_command_line(line: str) -> Optional[BrokerRequest]:

@@ -23,9 +23,16 @@ from repro.faults import plane as _faults
 from repro.broker.policy import BrokerPolicy, permissive_policy
 from repro.broker.protocol import BrokerRequest, BrokerResponse, RequestKind
 from repro.containit.container import AddressBook, PerforatedContainer
-from repro.errors import KernelError, ReproError
+from repro.errors import InvalidArgument, KernelError, ReproError
 from repro.itfs import AppendOnlyLog
 from repro.kernel import FirewallRule, Kernel, NamespaceKind
+
+
+def _operand(command: str, argv: object) -> str:
+    """The first argument of a ``PB`` command that needs one."""
+    if not isinstance(argv, (list, tuple)) or not argv:
+        raise InvalidArgument(f"PB {command}: missing operand")
+    return str(argv[0])
 
 
 class PermissionBroker:
@@ -123,7 +130,7 @@ class PermissionBroker:
     def _dispatch(self, request: BrokerRequest):
         if request.kind is RequestKind.EXEC:
             return self._exec(str(request.args["command"]),
-                              list(request.args.get("argv", [])))
+                              request.args.get("argv", []))
         if request.kind is RequestKind.SHARE_PATH:
             return self._share_path(
                 str(request.args["host_path"]),
@@ -142,8 +149,12 @@ class PermissionBroker:
                                     str(request.args["signature"]))
         raise KernelError(f"unhandled request kind {request.kind}")
 
-    def _exec(self, command: str, argv: List[str]):
-        """Run a command with the broker's host-wide view (``PB ps -a``)."""
+    def _exec(self, command: str, argv: object):
+        """Run a command with the broker's host-wide view (``PB ps -a``).
+
+        ``argv`` comes from the container as-is; a missing or malformed
+        operand raises InvalidArgument, so it is counted as a dispatch error.
+        """
         sys = self.kernel.sys
         if command == "ps":
             return sys.ps(self.proc)
@@ -152,11 +163,18 @@ class PermissionBroker:
         if command == "mounts":
             return sys.mounts(self.proc)
         if command == "kill":
-            sys.kill(self.proc, int(argv[0]))
-            return f"killed {argv[0]}"
+            operand = _operand(command, argv)
+            try:
+                pid = int(operand)
+            except ValueError:
+                raise InvalidArgument(
+                    f"PB kill: pid must be an integer, got {operand!r}") from None
+            sys.kill(self.proc, pid)
+            return f"killed {operand}"
         if command == "service-restart":
-            sys.restart_service(self.proc, argv[0])
-            return f"restarted {argv[0]}"
+            operand = _operand(command, argv)
+            sys.restart_service(self.proc, operand)
+            return f"restarted {operand}"
         if command == "reboot":
             sys.reboot(self.proc)
             return "reboot scheduled"

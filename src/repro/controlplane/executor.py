@@ -54,7 +54,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import queue
-import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -194,10 +193,6 @@ class _ThreadBackend(_Backend):
             self.queues[shard.index] = queue.Queue(maxsize=plane._queue_depth)
 
     def start(self) -> None:
-        # shorter GIL slices keep the producer responsive while workers
-        # grind through CPU-bound sessions; restored on stop
-        self._switchinterval = sys.getswitchinterval()
-        sys.setswitchinterval(0.005)
         for shard in self.plane.router.shards:
             server = ShardServer(shard, self.plane.classifier)
             worker = threading.Thread(
@@ -230,7 +225,6 @@ class _ThreadBackend(_Backend):
             q.put(None)
         for worker in self.threads.values():
             worker.join()
-        sys.setswitchinterval(self._switchinterval)
 
     def control(self, op: str, payload: Tuple[object, ...]) -> List[object]:
         return [procworker._handle_control(shard, op, payload)

@@ -74,6 +74,17 @@ class TestExecEscalations:
         resp = client.pb(f"kill {pid}")
         assert resp.ok and not victim.alive
 
+    @pytest.mark.parametrize("line", ["kill", "kill abc", "service-restart"])
+    def test_malformed_operand_is_a_dispatch_error(self, brokered, line):
+        from repro import obs
+        host, container, broker, shell, client = brokered
+        resp = client.pb(line)
+        assert not resp.ok and resp.error.startswith("[EINVAL] PB ")
+        assert obs.registry().total("broker_dispatch_errors", kind="exec") == 1
+        span = obs.tracer().filter("broker:exec")[-1]
+        assert span.attrs["dispatch_error"] == resp.error
+        assert broker.audit.records[-1].decision == "allow"
+
 
 class TestOnlineFileSharing:
     def test_share_path_exposes_new_directory(self, brokered):

@@ -1,17 +1,57 @@
 """Property-based tests: preprocessing, LDA, protocol, certificates."""
 
+import ast
+import contextlib
+import marshal
+import resource
 import string
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.broker import BrokerRequest, BrokerResponse, RequestKind
 from repro.errors import InvalidArgument
 from repro.framework import CertificateAuthority, LDA, stem, tokenize
 from repro.framework.preprocess import NOISE_WORDS, STOPWORDS
 
 word = st.text(alphabet=string.ascii_lowercase, min_size=2, max_size=10)
+
+# every output shape the broker emits: ``ps`` rows, ``mounts`` tuples, the
+# ``host_info`` dict, plain strings, and None (error replies)
+path = st.text(alphabet=string.ascii_lowercase + "/", max_size=12)
+ps_rows = st.lists(st.fixed_dictionaries({
+    "pid": st.integers(min_value=1, max_value=2**22), "comm": st.text(max_size=12),
+    "state": st.just("running"), "uid": st.integers(0, 65535)}), max_size=6)
+mounts = st.lists(st.tuples(path, path, st.sampled_from(["bind", "itfs"])),
+                  max_size=4)
+host_info = st.fixed_dictionaries({
+    "hostname": word, "mounts": mounts,
+    "process_count": st.integers(min_value=0)})
+reply_output = st.one_of(st.none(), st.text(max_size=30), ps_rows, mounts,
+                         host_info)
+
+
+@contextlib.contextmanager
+def _address_space_cap(headroom: int = 64 << 20):
+    """Cap the address space near its current size while decoding.
+
+    A forged container count makes ``marshal`` allocate that many slots
+    before it notices the data is short; under the cap such a count fails
+    at once with MemoryError instead of claiming gigabytes.
+    """
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    pages = int(Path("/proc/self/statm").read_text().split()[0])
+    cap = min(limit for limit in (soft, pages * resource.getpagesize() + headroom)
+              if limit != resource.RLIM_INFINITY)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 class TestPreprocessProperties:
@@ -91,11 +131,48 @@ class TestProtocolProperties:
         except InvalidArgument:
             pass  # the only acceptable failure mode
 
-    @given(st.booleans(), st.text(max_size=30))
-    def test_response_roundtrip(self, ok, error):
-        resp = BrokerResponse(ok=ok, output={"x": 1}, error=error)
+    @given(st.booleans(), reply_output, st.text(max_size=30))
+    def test_response_roundtrip(self, ok, output, error):
+        resp = BrokerResponse(ok=ok, output=output, error=error)
         back = BrokerResponse.from_bytes(resp.to_bytes())
-        assert back.ok == ok and back.error == error and back.output == {"x": 1}
+        assert back == resp
+        # repr tells tuples from lists: output keeps its Python types
+        assert repr(back.output) == repr(output)
+
+    @given(st.binary(max_size=64))
+    @example(b"(\x00\x00\x00\x7f")           # forged tuple count
+    @example(b")\x03T[\xff\xff\xff\x7f")    # forged count inside a triple
+    @example(marshal.dumps((1, None, "")))      # ok is not a bool
+    @example(marshal.dumps((True, None, b"")))  # error is not a str
+    @example(marshal.dumps([True, None, ""]))   # a list, not a tuple
+    def test_arbitrary_reply_bytes_decode_or_raise_invalid(self, blob):
+        try:
+            with _address_space_cap():
+                resp = BrokerResponse.from_bytes(blob)
+        except InvalidArgument:
+            return  # the only acceptable failure mode
+        assert type(resp.ok) is bool and type(resp.error) is str
+
+    @given(st.booleans(), reply_output, st.text(max_size=30))
+    def test_request_parser_rejects_every_reply(self, ok, output, error):
+        with pytest.raises(InvalidArgument):
+            BrokerRequest.from_bytes(
+                BrokerResponse(ok=ok, output=output, error=error).to_bytes())
+
+    def test_only_the_protocol_module_imports_marshal(self):
+        root = Path(repro.__file__).parent
+        importers = set()
+        for source in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                if "marshal" in names:
+                    importers.add(source.relative_to(root).as_posix())
+        assert importers == {"broker/protocol.py"}
 
 
 class TestCertificateProperties:
