@@ -171,9 +171,8 @@ class LintReport:
             lines.append("  clean: no findings")
         return "\n".join(lines)
 
-    def dumps(self, sarif: bool = False) -> str:
-        return json.dumps(self.to_sarif() if sarif else self.to_json(),
-                          indent=2, sort_keys=True)
+    def dumps(self) -> str:
+        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
     def __len__(self) -> int:
         return len(self.findings)

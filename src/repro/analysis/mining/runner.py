@@ -394,7 +394,8 @@ def mining_targets(classes: Optional[Sequence[str]] = None
         else:
             raise ValueError(
                 f"unknown ticket class {name!r}; choose from "
-                f"{sorted(targets) + [FIXTURE_CLASS]}")
+                f"{', '.join(targets)} or {FIXTURE_CLASS} (the seeded "
+                f"over-privileged fixture)")
     return selected
 
 

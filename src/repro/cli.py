@@ -7,6 +7,7 @@ Commands:
     threats              run the Table 1 threat analysis
     chaos                seeded fault-injection soak over the threat replay
     lint                 static perforation linter over the spec catalog
+    lint-threads         lock-discipline lint over the repro source tree
     verify-model         escape-chain model checker with witness replay
     mine                 mine least-privilege specs from benign traces,
                          prove them, and diff against the catalog
@@ -27,13 +28,39 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 EXPERIMENT_NAMES = ("table1", "table2", "table3", "table4",
                     "figure7", "figure8", "figure9")
 
 #: workloads the ``metrics``/``trace`` subcommands can replay
 INSTRUMENTED_TARGETS = ("table1", "demo")
+
+
+class _UsageError(Exception):
+    """A bad command line: ``main`` prints it after ``repro <command>:``
+    on stderr and exits 2."""
+
+
+#: numeric option rules, keyed by the wording of their usage message
+_RULES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
+    "in [0, 65535]": lambda v: 0 <= v <= 65535,
+}
+
+
+def _check_options(args, checks) -> None:
+    """Raise a usage error for the first ``(flag, rule)`` ``args`` breaks.
+
+    Checks run in order; an option left unset (``None``) passes.
+    """
+    for flag, rule in checks:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not _RULES[rule](value):
+            raise _UsageError(f"{flag} must be {rule}, got {value}")
 
 
 def _cmd_demo(_args) -> int:
@@ -128,14 +155,8 @@ def _cmd_chaos(args) -> int:
     Exit status 1 means a fault converted a deny into an allow — the
     fail-closed property is broken. Same seed, same report, bit for bit.
     """
-    if args.iterations < 1:
-        print(f"repro chaos: --iterations must be >= 1, "
-              f"got {args.iterations}", file=sys.stderr)
-        return 2
-    if not 0.0 < args.intensity <= 1.0:
-        print(f"repro chaos: --intensity must be in (0, 1], "
-              f"got {args.intensity}", file=sys.stderr)
-        return 2
+    _check_options(args, (("--iterations", ">= 1"),
+                          ("--intensity", "in (0, 1]")))
     from repro.faults import run_chaos
     report = run_chaos(seed=args.seed, iterations=args.iterations,
                        intensity=args.intensity)
@@ -150,243 +171,191 @@ def _cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_fail_on(label: str):
-    """``--fail-on`` value -> Severity threshold, or None for 'never'.
+# ----------------------------------------------------------------------
+# the analyzers: lint, lint-threads, verify-model, mine
+# ----------------------------------------------------------------------
 
-    Raises ValueError for unknown labels — handlers turn that into the
-    usage-error exit status (2) instead of a traceback.
+class _Analyzer(NamedTuple):
+    """One analyzer row: only what differs between the analyzers.
+
+    ``run(args, targets)`` returns ``(result, report, ok)``: the result
+    object, its findings as a ``LintReport`` and the analyzer's own
+    verdict. ``crosscheck(args, targets, result)`` returns ``(ok,
+    payload, text)``; the payload is printed as JSON in machine mode.
     """
-    from repro.analysis import Severity
-    if label == "never":
-        return None
-    return Severity.parse(label)
+
+    tool_name: str
+    run: Callable
+    text: Callable = lambda result, report: result.format()
+    json: Callable = lambda result, report: result.dumps()
+    checks: Tuple[Tuple[str, str], ...] = ()
+    crosscheck: Optional[Callable] = None
 
 
-def _cmd_lint(args) -> int:
-    import json as _json
-
-    from repro.analysis import lint_catalog, run_crosscheck
-    from repro.analysis.linter import builtin_catalog
+def _lint_targets(targets):
+    from repro.analysis import lint_catalog
     from repro.broker.policy import permissive_policy
-
-    try:
-        fail_on = _parse_fail_on(args.fail_on)
-    except ValueError as exc:
-        print(f"repro lint: --fail-on: {exc}", file=sys.stderr)
-        return 2
-    specs = builtin_catalog()
-    if args.klass is not None:
-        if args.klass not in specs:
-            print(f"unknown ticket class {args.klass!r}; choose from "
-                  f"{', '.join(sorted(specs, key=lambda n: (len(n), n)))}",
-                  file=sys.stderr)
-            return 2
-        specs = {args.klass: specs[args.klass]}
-    report = lint_catalog(specs=specs, broker_policy=permissive_policy())
-    if args.json or args.sarif:
-        print(report.dumps(sarif=args.sarif))
-    else:
-        print(report.format())
-    status = 0
-    if fail_on is not None and report.fails(fail_on):
-        status = 1
-    if args.crosscheck:
-        crosscheck = run_crosscheck(specs=specs)
-        if args.json:
-            print(_json.dumps([row.to_dict() for row in crosscheck.rows],
-                              indent=2, sort_keys=True))
-        else:
-            print()
-            print(crosscheck.format())
-        if not crosscheck.consistent:
-            status = 1
-    return status
+    return lint_catalog(specs={t.name: t.spec for t in targets},
+                        broker_policy=permissive_policy())
 
 
-def _cmd_lint_threads(args) -> int:
-    import json as _json
+def _run_lint(_args, targets):
+    report = _lint_targets(targets)
+    return report, report, True
+
+
+def _crosscheck_lint(_args, targets, _report):
+    from repro.analysis import run_crosscheck
+    crosscheck = run_crosscheck(specs={t.name: t.spec for t in targets})
+    return (crosscheck.consistent,
+            [row.to_dict() for row in crosscheck.rows], crosscheck.format())
+
+
+def _run_lint_threads(args, _targets):
     from pathlib import Path
 
-    from repro.analysis.concurrency import lint_threads, run_crosscheck
-
-    try:
-        fail_on = _parse_fail_on(args.fail_on)
-    except ValueError as exc:
-        print(f"repro lint-threads: --fail-on: {exc}", file=sys.stderr)
-        return 2
+    from repro.analysis.concurrency import lint_threads
     root = None
     if args.path is not None:
         root = Path(args.path)
         if not root.is_dir():
-            print(f"repro lint-threads: not a directory: {args.path}",
-                  file=sys.stderr)
-            return 2
+            raise _UsageError(f"not a directory: {args.path}")
     analysis = lint_threads(root=root)
-    report = analysis.report
-    if args.sarif:
-        from repro.analysis.sarif import CONCURRENCY_TOOL_NAME, merge_reports
-        document = merge_reports([report],
-                                 tool_name=CONCURRENCY_TOOL_NAME)
-        print(_json.dumps(document, indent=2, sort_keys=True))
-    elif args.json:
-        print(report.dumps())
-    else:
-        print(report.format(title="Concurrency lint"))
-        print(f"  lock graph: {len(analysis.locks)} sites, "
-              f"{len(analysis.edges)} order edges, "
-              f"{len(analysis.cycles)} cycles "
-              f"({analysis.files} files in {analysis.elapsed_s:.2f}s)")
-    status = 0
-    if fail_on is not None and report.fails(fail_on):
-        status = 1
-    if args.crosscheck:
-        crosscheck = run_crosscheck(tickets=args.tickets,
-                                    chaos_iterations=args.chaos_iterations,
-                                    analysis=analysis)
-        if args.json or args.sarif:
-            print(_json.dumps(crosscheck.to_dict(), indent=2,
-                              sort_keys=True))
-        else:
-            print()
-            print(crosscheck.format())
-        if not (crosscheck.consistent and crosscheck.deadlock_free
-                and crosscheck.storm_errors == 0):
-            status = 1
-    return status
+    return analysis, analysis.report, True
 
 
-def _cmd_verify_model(args) -> int:
-    import json as _json
-
-    from repro.analysis.modelcheck import (
-        FIXTURE_CLASS,
-        catalog_targets,
-        overprivileged_fixture_target,
-        run_verify_model,
-    )
-
-    try:
-        fail_on = _parse_fail_on(args.fail_on)
-    except ValueError as exc:
-        print(f"repro verify-model: --fail-on: {exc}", file=sys.stderr)
-        return 2
-    if args.depth < 1:
-        print(f"repro verify-model: --depth must be >= 1, got {args.depth}",
-              file=sys.stderr)
-        return 2
-    targets = catalog_targets()
-    if args.klass is not None:
-        if args.klass == FIXTURE_CLASS:
-            targets = [overprivileged_fixture_target()]
-        else:
-            by_name = {t.name: t for t in targets}
-            if args.klass not in by_name:
-                print(f"unknown ticket class {args.klass!r}; choose from "
-                      f"{', '.join(sorted(by_name, key=lambda n: (len(n), n)))}"
-                      f" or {FIXTURE_CLASS} (the seeded over-privileged "
-                      f"fixture)", file=sys.stderr)
-                return 2
-            targets = [by_name[args.klass]]
-    report = run_verify_model(targets, depth=args.depth, replay=args.replay)
-    if args.sarif:
-        from repro.analysis.sarif import MODELCHECK_TOOL_NAME, merge_reports
-        reports = [report.report()]
-        if args.include_lint:
-            from repro.analysis import lint_catalog
-            from repro.broker.policy import permissive_policy
-            specs = ({t.name: t.spec for t in targets}
-                     if args.klass is not None else None)
-            reports.insert(0, lint_catalog(
-                specs=specs, broker_policy=permissive_policy()))
-            document = merge_reports(reports)
-        else:
-            document = merge_reports(reports,
-                                     tool_name=MODELCHECK_TOOL_NAME)
-        print(_json.dumps(document, indent=2, sort_keys=True))
-    elif args.json:
-        print(report.dumps())
-    else:
-        print(report.format())
-    status = 0 if report.ok else 1
-    if fail_on is not None and report.report().fails(fail_on):
-        status = max(status, 1)
-    return status
+def _format_lint_threads(analysis, report) -> str:
+    return (f"{report.format(title='Concurrency lint')}\n"
+            f"  lock graph: {len(analysis.locks)} sites, "
+            f"{len(analysis.edges)} order edges, "
+            f"{len(analysis.cycles)} cycles "
+            f"({analysis.files} files in {analysis.elapsed_s:.2f}s)")
 
 
-def _cmd_mine(args) -> int:
-    import json as _json
+def _crosscheck_threads(args, _targets, analysis):
+    from repro.analysis.concurrency import run_crosscheck
+    crosscheck = run_crosscheck(tickets=args.tickets,
+                                chaos_iterations=args.chaos_iterations,
+                                analysis=analysis)
+    ok = (crosscheck.consistent and crosscheck.deadlock_free
+          and crosscheck.storm_errors == 0)
+    return ok, crosscheck.to_dict(), crosscheck.format()
 
-    from repro.analysis.mining import (
-        GeneralizationPolicy,
-        mining_targets,
-        run_mining,
-    )
 
-    try:
-        fail_on = _parse_fail_on(args.fail_on)
-    except ValueError as exc:
-        print(f"repro mine: --fail-on: {exc}", file=sys.stderr)
-        return 2
-    for flag, value in (("--tickets", args.tickets),
-                        ("--min-sessions", args.min_sessions),
-                        ("--max-sessions", args.max_sessions),
-                        ("--depth", args.depth)):
-        if value < 1:
-            print(f"repro mine: {flag} must be >= 1, got {value}",
-                  file=sys.stderr)
-            return 2
-    try:
-        mining_targets(args.classes)
-    except ValueError as exc:
-        print(f"repro mine: {exc}", file=sys.stderr)
-        return 2
-    policy = GeneralizationPolicy(min_sessions=args.min_sessions)
-    report = run_mining(args.classes, n_tickets=args.tickets,
-                        seed=args.seed, policy=policy,
-                        max_sessions=args.max_sessions, depth=args.depth,
-                        crosscheck=args.crosscheck)
+def _run_verify_model(args, targets):
+    from repro.analysis.modelcheck import run_verify_model
+    result = run_verify_model(targets, depth=args.depth, replay=args.replay)
+    return result, result.report(), result.ok
+
+
+def _run_mine(args, _targets):
+    from repro.analysis.mining import GeneralizationPolicy, run_mining
+    result = run_mining(
+        args.classes, n_tickets=args.tickets, seed=args.seed,
+        policy=GeneralizationPolicy(min_sessions=args.min_sessions),
+        max_sessions=args.max_sessions, depth=args.depth,
+        crosscheck=args.crosscheck)
     if args.bench_out:
         from repro.experiments.schema import ExperimentReport
-        counts = report.report.counts()
+        counts = result.report.counts()
         ExperimentReport(
             name="policy-mining",
-            params={str(k): v for k, v in report.params.items()
+            params={str(k): v for k, v in result.params.items()
                     if not isinstance(v, (list, tuple, dict))},
             metrics={
-                "classes": len(report.outcomes),
+                "classes": len(result.outcomes),
                 "sessions_traced": sum(
-                    o.sessions for o in report.outcomes),
-                "specs_mined": len(report.mined_specs()),
+                    o.sessions for o in result.outcomes),
+                "specs_mined": len(result.mined_specs()),
                 "errors": counts.get("error", 0),
                 "warnings": counts.get("warning", 0),
-                "ok": report.ok,
-                "digest": report.digest(),
+                "ok": result.ok,
+                "digest": result.digest(),
             },
-            artifacts={"report": report.to_json()},
+            artifacts={"report": result.to_json()},
         ).write(args.bench_out)
         print(f"benchmark report written to {args.bench_out}",
               file=sys.stderr)
+    return result, result.report, result.ok
+
+
+def _analyzers():
+    """The analyzer table, built on call: importing ``repro.analysis``
+    is left to the commands that use it."""
+    from repro.analysis import sarif
+    return {
+        "lint": _Analyzer(sarif.LINTER_TOOL_NAME, _run_lint,
+                          crosscheck=_crosscheck_lint),
+        "lint-threads": _Analyzer(
+            sarif.CONCURRENCY_TOOL_NAME, _run_lint_threads,
+            text=_format_lint_threads,
+            json=lambda _analysis, report: report.dumps(),
+            checks=(("--tickets", ">= 1"),), crosscheck=_crosscheck_threads),
+        "verify-model": _Analyzer(sarif.MODELCHECK_TOOL_NAME,
+                                  _run_verify_model,
+                                  checks=(("--depth", ">= 1"),)),
+        "mine": _Analyzer(sarif.MINING_TOOL_NAME, _run_mine,
+                          checks=(("--tickets", ">= 1"),
+                                  ("--min-sessions", ">= 1"),
+                                  ("--max-sessions", ">= 1"),
+                                  ("--depth", ">= 1"))),
+    }
+
+
+def _run_analyzer(args) -> int:
+    """Run one analyzer row: checks, ``--class``, output, exit status.
+
+    Exit 1 when the analyzer's own verdict fails, a finding reaches
+    ``--fail-on`` or a requested cross-check fails; 0 otherwise; usage
+    errors (exit 2) are raised before anything runs.
+    """
+    import json as _json
+
+    from repro.analysis import Severity
+    from repro.analysis.mining import mining_targets
+    from repro.analysis.sarif import COMBINED_TOOL_NAME, merge_reports
+
+    analyzer = _analyzers()[args.command]
+    try:
+        fail_on = (None if args.fail_on == "never"
+                   else Severity.parse(args.fail_on))
+    except ValueError as exc:
+        raise _UsageError(f"--fail-on: {exc}") from None
+    _check_options(args, analyzer.checks)
+    include_lint = getattr(args, "include_lint", False)
+    if include_lint and not args.sarif:
+        raise _UsageError("--include-lint requires --sarif")
+    targets = None
+    if hasattr(args, "classes"):  # --class: one selector, X-DEV included
+        classes = args.classes
+        try:
+            targets = list(mining_targets(
+                [classes] if isinstance(classes, str) else classes).values())
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+    result, report, ok = analyzer.run(args, targets)
     if args.sarif:
-        from repro.analysis.sarif import MINING_TOOL_NAME, merge_reports
-        reports = [report.report]
-        if args.include_lint:
-            from repro.analysis import lint_catalog
-            from repro.broker.policy import permissive_policy
-            reports.insert(0, lint_catalog(
-                specs=dict(report.catalog),
-                broker_policy=permissive_policy()))
-            document = merge_reports(reports)
-        else:
-            document = merge_reports(reports, tool_name=MINING_TOOL_NAME)
-        print(_json.dumps(document, indent=2, sort_keys=True))
+        reports, tool_name = [report], analyzer.tool_name
+        if include_lint:
+            reports, tool_name = ([_lint_targets(targets), report],
+                                  COMBINED_TOOL_NAME)
+        print(_json.dumps(merge_reports(reports, tool_name=tool_name),
+                          indent=2, sort_keys=True))
     elif args.json:
-        print(report.dumps())
+        print(analyzer.json(result, report))
     else:
-        print(report.format())
-    status = 0 if report.ok else 1
-    if fail_on is not None and report.report.fails(fail_on):
-        status = max(status, 1)
-    return status
+        print(analyzer.text(result, report))
+    if fail_on is not None and report.fails(fail_on):
+        ok = False
+    if analyzer.crosscheck is not None and args.crosscheck:
+        checked, payload, text = analyzer.crosscheck(args, targets, result)
+        if args.json or args.sarif:
+            print(_json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print()
+            print(text)
+        ok = ok and checked
+    return 0 if ok else 1
 
 
 def passthrough_table1_spec(cache_capacity: int = 4):
@@ -442,10 +411,7 @@ def _run_instrumented(target: str, cache_capacity: int) -> None:
 
 def _cmd_metrics(args) -> int:
     from repro import obs
-    if args.cache_capacity < 1:
-        print(f"repro metrics: --cache-capacity must be >= 1, "
-              f"got {args.cache_capacity}", file=sys.stderr)
-        return 2
+    _check_options(args, (("--cache-capacity", ">= 1"),))
     _run_instrumented(args.target, args.cache_capacity)
     if args.json:
         print(obs.registry().to_json())
@@ -456,14 +422,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro import obs
-    if args.cache_capacity < 1:
-        print(f"repro trace: --cache-capacity must be >= 1, "
-              f"got {args.cache_capacity}", file=sys.stderr)
-        return 2
-    if args.limit < 1:
-        print(f"repro trace: --limit must be >= 1, got {args.limit}",
-              file=sys.stderr)
-        return 2
+    _check_options(args, (("--cache-capacity", ">= 1"), ("--limit", ">= 1")))
     _run_instrumented(args.target, args.cache_capacity)
     tracer = obs.tracer()
     if args.jsonl:
@@ -493,19 +452,9 @@ def _run_daemon(args) -> int:
         train_storm_classifier,
     )
 
-    if not 0 <= args.port <= 65535:
-        print(f"repro serve: --port must be in [0, 65535], got {args.port}",
-              file=sys.stderr)
-        return 2
-    if args.rate_limit < 0:
-        print(f"repro serve: --rate-limit must be >= 0, "
-              f"got {args.rate_limit}", file=sys.stderr)
-        return 2
-    if args.max_inflight < 0:
-        print(f"repro serve: --max-inflight must be >= 0, "
-              f"got {args.max_inflight}", file=sys.stderr)
-        return 2
-
+    _check_options(args, (("--port", "in [0, 65535]"),
+                          ("--rate-limit", ">= 0"),
+                          ("--max-inflight", ">= 0")))
     classifier = (train_storm_classifier(seed=args.seed)
                   if args.classifier == "lda" else None)
     store = None
@@ -558,26 +507,10 @@ def _cmd_serve(args) -> int:
     2 for usage errors, 1 when any ticket fails to resolve (storm mode)
     or the drain left tickets behind (daemon mode).
     """
-    if args.shards < 1:
-        print(f"repro serve: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
-    if args.pool_size < 0:
-        print(f"repro serve: --pool-size must be >= 0, "
-              f"got {args.pool_size}", file=sys.stderr)
-        return 2
-    if args.tickets < 1:
-        print(f"repro serve: --tickets must be >= 1, got {args.tickets}",
-              file=sys.stderr)
-        return 2
-    if not 0.0 <= args.duplicates < 1.0:
-        print(f"repro serve: --duplicates must be in [0, 1), "
-              f"got {args.duplicates}", file=sys.stderr)
-        return 2
-    if args.queue_depth < 1:
-        print(f"repro serve: --queue-depth must be >= 1, "
-              f"got {args.queue_depth}", file=sys.stderr)
-        return 2
+    _check_options(args, (("--shards", ">= 1"), ("--pool-size", ">= 0"),
+                          ("--tickets", ">= 1"),
+                          ("--duplicates", "in [0, 1)"),
+                          ("--queue-depth", ">= 1")))
     if args.daemon:
         return _run_daemon(args)
 
@@ -648,23 +581,18 @@ def _cmd_replay(args) -> int:
     1 when the session is unknown or its hash chain fails verification.
     """
     import json as _json
-    # os imported at module level
 
     from repro.errors import IntegrityError
     from repro.store import SQLiteStore, format_trail, trail_to_dict, \
         verify_trail
 
     if not args.db:
-        print("repro replay: --db PATH is required", file=sys.stderr)
-        return 2
+        raise _UsageError("--db PATH is required")
     if not os.path.exists(args.db):
         # opening would create an empty database; refuse instead
-        print(f"repro replay: no database at {args.db}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"no database at {args.db}")
     if not args.session_id and not args.latest:
-        print("repro replay: give a SESSION-ID or --latest",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("give a SESSION-ID or --latest")
     store = SQLiteStore(args.db)
     try:
         session_id = args.session_id
@@ -722,20 +650,14 @@ def _cmd_history(args) -> int:
     """
     import glob as _glob
     import json as _json
-    # os imported at module level
 
     from repro.store import SQLiteStore, report_to_row
 
     if not args.db:
-        print("repro history: --db PATH is required", file=sys.stderr)
-        return 2
-    if args.limit is not None and args.limit < 1:
-        print(f"repro history: --limit must be >= 1, got {args.limit}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("--db PATH is required")
+    _check_options(args, (("--limit", ">= 1"),))
     if not args.imports and not os.path.exists(args.db):
-        print(f"repro history: no database at {args.db}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"no database at {args.db}")
     store = SQLiteStore(args.db)
     try:
         if args.imports:
@@ -745,15 +667,11 @@ def _cmd_history(args) -> int:
                 paths = sorted(_glob.glob(pattern)) or [pattern]
                 for path in paths:
                     if not os.path.exists(path):
-                        print(f"repro history: no such file {path}",
-                              file=sys.stderr)
-                        return 2
+                        raise _UsageError(f"no such file {path}")
                     try:
                         report = ExperimentReport.read(path)
                     except (ValueError, OSError) as exc:
-                        print(f"repro history: {path}: {exc}",
-                              file=sys.stderr)
-                        return 2
+                        raise _UsageError(f"{path}: {exc}") from None
                     store.put_bench_run(report_to_row(
                         report, created_at=os.path.getmtime(path)))
                     imported += 1
@@ -788,6 +706,20 @@ def _cmd_anomaly(args) -> int:
     return 0
 
 
+def _add_analyzer(sub, name: str, help: str, sarif_help: str,
+                  fail_on_note: str = "") -> argparse.ArgumentParser:
+    """Sub-parser for one analyzer, with the flags they all take."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable report")
+    parser.add_argument("--sarif", action="store_true", help=sarif_help)
+    parser.add_argument("--fail-on", metavar="SEVERITY", default="error",
+                        help="finding-severity threshold for a non-zero "
+                             "exit status (info, warning, error, or "
+                             "'never')" + fail_on_note)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -820,36 +752,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--trace-out", metavar="PATH", default=None,
                          help="also write the JSON report to PATH")
 
-    p_lint = sub.add_parser(
-        "lint", help="statically verify least-privilege of the spec catalog")
-    p_lint.add_argument("--class", dest="klass", metavar="NAME", default=None,
-                        help="lint a single ticket class (e.g. T-3)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="machine-readable findings")
-    p_lint.add_argument("--sarif", action="store_true",
-                        help="SARIF-style findings (implies machine output)")
-    p_lint.add_argument("--fail-on", metavar="SEVERITY", default="error",
-                        help="severity threshold for a non-zero exit status "
-                             "(info, warning, error, or 'never')")
+    class_help = ("one ticket class (e.g. T-3, or X-DEV for the seeded "
+                  "over-privileged fixture)")
+    include_lint_help = ("with --sarif: merge the WIT00x-03x linter "
+                         "findings into one combined SARIF artifact")
+
+    p_lint = _add_analyzer(
+        sub, "lint", "statically verify least-privilege of the spec catalog",
+        sarif_help="SARIF-style findings (implies machine output)")
+    p_lint.add_argument("--class", dest="classes", metavar="NAME",
+                        default=None, help=class_help)
     p_lint.add_argument("--crosscheck", action="store_true",
                         help="also run the static/dynamic Table 1 cross-check")
 
-    p_lt = sub.add_parser(
-        "lint-threads",
-        help="lock-discipline lint (CON0xx) over the repro source tree, "
-             "with an optional sanitizer-instrumented cross-check")
+    p_lt = _add_analyzer(
+        sub, "lint-threads",
+        "lock-discipline lint (CON0xx) over the repro source tree, "
+        "with an optional sanitizer-instrumented cross-check",
+        sarif_help="CON0xx findings as SARIF",
+        fail_on_note="; the default 'error' fails precisely on CON003 "
+                     "lock-order cycles")
     p_lt.add_argument("--path", metavar="DIR", default=None,
                       help="package root to lint (default: the installed "
                            "repro tree)")
-    p_lt.add_argument("--json", action="store_true",
-                      help="machine-readable findings")
-    p_lt.add_argument("--sarif", action="store_true",
-                      help="CON0xx findings as SARIF")
-    p_lt.add_argument("--fail-on", metavar="SEVERITY", default="error",
-                      help="severity threshold for a non-zero exit status "
-                           "(info, warning, error, or 'never'); the "
-                           "default 'error' fails precisely on CON003 "
-                           "lock-order cycles")
     p_lt.add_argument("--crosscheck", action="store_true",
                       help="also run the storm + chaos soak under the "
                            "runtime lock-order sanitizer and diff the "
@@ -862,12 +787,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="chaos-soak iterations for --crosscheck "
                            "(default 40; 0 skips the soak)")
 
-    p_vm = sub.add_parser(
-        "verify-model",
-        help="model-check multi-step escape chains and replay witnesses")
-    p_vm.add_argument("--class", dest="klass", metavar="NAME", default=None,
-                      help="verify a single ticket class (e.g. T-3, or "
-                           "X-DEV for the seeded over-privileged fixture)")
+    p_vm = _add_analyzer(
+        sub, "verify-model",
+        "model-check multi-step escape chains and replay witnesses",
+        sarif_help="WIT04x findings as SARIF",
+        fail_on_note="; reachable-unaudited chains and replay "
+                     "disagreements always exit 1")
+    p_vm.add_argument("--class", dest="classes", metavar="NAME",
+                      default=None, help=class_help)
     p_vm.add_argument("--depth", type=int, default=4,
                       help="BFS exploration depth bound (default 4: every "
                            "Table 1 attack plus one broker escalation)")
@@ -877,28 +804,18 @@ def build_parser() -> argparse.ArgumentParser:
                            "kernel + ITFS + broker (default)")
     p_vm.add_argument("--no-replay", dest="replay", action="store_false",
                       help="static verdicts only, skip the dynamic replay")
-    p_vm.add_argument("--json", action="store_true",
-                      help="machine-readable verdict report")
-    p_vm.add_argument("--sarif", action="store_true",
-                      help="WIT04x findings as SARIF")
     p_vm.add_argument("--include-lint", action="store_true",
-                      help="with --sarif: merge the WIT00x-03x linter "
-                           "findings into one combined SARIF artifact")
-    p_vm.add_argument("--fail-on", metavar="SEVERITY", default="error",
-                      help="finding-severity threshold for a non-zero exit "
-                           "status (info, warning, error, or 'never'); "
-                           "reachable-unaudited chains and replay "
-                           "disagreements always exit 1")
+                      help=include_lint_help)
 
-    p_mine = sub.add_parser(
-        "mine",
-        help="mine least-privilege specs from benign traces, prove them "
-             "with the model checker, and diff against the catalog")
+    p_mine = _add_analyzer(
+        sub, "mine",
+        "mine least-privilege specs from benign traces, prove them "
+        "with the model checker, and diff against the catalog",
+        sarif_help="WIT05x findings as SARIF",
+        fail_on_note="; unproven mined specs always exit 1")
     p_mine.add_argument("--class", dest="classes", metavar="NAME",
                         action="append", default=None,
-                        help="mine one ticket class (repeatable; e.g. "
-                             "T-3, or X-DEV for the seeded "
-                             "over-privileged fixture)")
+                        help=class_help + "; repeatable")
     p_mine.add_argument("--tickets", type=int, default=398,
                         help="evaluation-corpus size to draw benign "
                              "sessions from (default 398, the Table 4 "
@@ -916,18 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--depth", type=int, default=4,
                         help="model-checker exploration depth for the "
                              "proof pass")
-    p_mine.add_argument("--json", action="store_true",
-                        help="machine-readable mining report")
-    p_mine.add_argument("--sarif", action="store_true",
-                        help="WIT05x findings as SARIF")
     p_mine.add_argument("--include-lint", action="store_true",
-                        help="with --sarif: merge the WIT00x-03x linter "
-                             "findings into one combined SARIF artifact")
-    p_mine.add_argument("--fail-on", metavar="SEVERITY", default="error",
-                        help="finding-severity threshold for a non-zero "
-                             "exit status (info, warning, error, or "
-                             "'never'); unproven mined specs always "
-                             "exit 1")
+                        help=include_lint_help)
     p_mine.add_argument("--crosscheck", action="store_true",
                         help="also run the static/dynamic Table 1 "
                              "cross-check over the mined specs")
@@ -1055,14 +962,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"demo": _cmd_demo, "experiment": _cmd_experiment,
                 "threats": _cmd_threats, "chaos": _cmd_chaos,
-                "lint": _cmd_lint, "lint-threads": _cmd_lint_threads,
-                "verify-model": _cmd_verify_model,
-                "mine": _cmd_mine,
+                "lint": _run_analyzer, "lint-threads": _run_analyzer,
+                "verify-model": _run_analyzer, "mine": _run_analyzer,
                 "anomaly": _cmd_anomaly, "serve": _cmd_serve,
                 "replay": _cmd_replay, "history": _cmd_history,
                 "metrics": _cmd_metrics, "trace": _cmd_trace}
     try:
         return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # `repro replay | head` closes stdout early; that is not an error.
         # Detach stdout so the interpreter's shutdown flush cannot raise.

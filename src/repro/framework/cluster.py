@@ -49,7 +49,6 @@ class ClusterManager:
         self._ip_base = container_ip_base
         #: the organizational remote append-only log (Table 1, attack 6)
         self.central_audit = AppendOnlyLog(name="central-audit")
-        self.deployments: List[Deployment] = []
 
     # ------------------------------------------------------------------
 
@@ -94,14 +93,8 @@ class ClusterManager:
             address_book=self.address_book,
             software_repository=self.software_repository)
         broker.audit.add_replica(self.central_audit, mode="aggregate")
-        deployment = Deployment(machine=machine, container=container,
-                                broker=broker)
-        self.deployments.append(deployment)
-        return deployment
+        return Deployment(machine=machine, container=container, broker=broker)
 
     def teardown(self, deployment: Deployment,
                  reason: str = "ticket resolved") -> None:
         deployment.container.terminate(reason)
-
-    def active_deployments(self) -> List[Deployment]:
-        return [d for d in self.deployments if d.container.active]

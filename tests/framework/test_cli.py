@@ -410,7 +410,17 @@ class TestExitCodeConvention:
         ["serve", "--duplicates", "1.0"],
         ["serve", "--queue-depth", "0"],
         ["lint", "--fail-on", "bogus"],
+        ["lint", "--class", "T-99"],
+        ["lint-threads", "--fail-on", "bogus"],
+        ["lint-threads", "--path", "/nonexistent"],
+        ["lint-threads", "--crosscheck", "--tickets", "0"],
         ["verify-model", "--class", "T-99"],
+        ["verify-model", "--depth", "0"],
+        ["verify-model", "--include-lint"],
+        ["mine", "--fail-on", "bogus"],
+        ["mine", "--class", "T-99"],
+        ["mine", "--tickets", "0"],
+        ["mine", "--include-lint"],
         ["replay"],
         ["replay", "--db", "/nonexistent/watchit.db", "--latest"],
         ["history"],
@@ -421,3 +431,39 @@ class TestExitCodeConvention:
         captured = capsys.readouterr()
         assert captured.err.strip(), "usage diagnostics belong on stderr"
         assert "Traceback" not in captured.err
+
+
+class TestAnalyzerRunner:
+    """``lint``, ``lint-threads``, ``verify-model`` and ``mine`` share one
+    runner: one ``--class`` selector, one machine-output rule."""
+
+    @pytest.mark.parametrize("mode", ["--json", "--sarif"])
+    @pytest.mark.parametrize("argv", [
+        ["lint", "--class", "T-3", "--crosscheck"],
+        ["lint-threads", "--crosscheck", "--tickets", "8",
+         "--chaos-iterations", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_machine_mode_crosscheck_prints_only_json(self, argv, mode,
+                                                      capsys):
+        import json
+        assert main(argv + [mode]) == 0
+        out = capsys.readouterr().out
+        decoder, documents, pos = json.JSONDecoder(), [], 0
+        while pos < len(out):
+            document, pos = decoder.raw_decode(out, pos)
+            documents.append(document)
+            pos = len(out) - len(out[pos:].lstrip())
+        assert len(documents) == 2  # the report, then the cross-check
+
+    def test_lint_accepts_the_fixture_class(self, capsys):
+        import json
+        assert main(["lint", "--class", "X-DEV", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["targets"] == ["X-DEV"]
+        assert payload["summary"]["error"] == 0
+        assert {f["rule"] for f in payload["findings"]} == {"WIT013"}
+
+    def test_verify_model_fails_the_fixture_class(self, capsys):
+        assert main(["verify-model", "--class", "X-DEV",
+                     "--no-replay"]) == 1
+        assert "verify-model: FAIL" in capsys.readouterr().out
