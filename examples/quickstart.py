@@ -81,8 +81,8 @@ def main() -> None:
     print(f"session closed: resolved={result.resolved} "
           f"after {result.audit_records} audited actions")
     summary = deployment.audit_summary()
-    print(f"ticket resolved; central audit log: {summary['records']} records, "
-          f"chain verified: {summary['verified']}")
+    print(f"ticket resolved; stored audit trail: {summary['records']} "
+          f"records, chain verified: {summary['verified']}")
 
 
 if __name__ == "__main__":

@@ -60,6 +60,15 @@ class SessionLog:
             records += list(broker.audit.records)
         return cls(session_id=session_id, records=records, label=label)
 
+    @classmethod
+    def from_trail(cls, trail, label: str = "unknown") -> "SessionLog":
+        """Rebuild a stored session's records (every stream) from its
+        :class:`~repro.store.SessionTrail`."""
+        from repro.store.protocol import record_from_event_row
+        return cls(session_id=trail.session.session_id,
+                   records=[record_from_event_row(e) for e in trail.events],
+                   label=label)
+
 
 def extract_features(log: SessionLog) -> np.ndarray:
     """Map one session log to the FEATURE_NAMES vector."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.framework.orchestrator import (
     DEFAULT_MACHINES,
@@ -42,6 +42,7 @@ from repro.framework.orchestrator import (
 from repro.framework.tickets import Ticket
 
 if TYPE_CHECKING:
+    from repro.anomaly import SessionScore
     from repro.store.protocol import (
         EventStore,
         SessionRow,
@@ -210,8 +211,12 @@ class Session:
             duration_s=elapsed, latency_s=elapsed,
             session_id=self.session_id)
         if self.session_id is not None:
-            self._deployment._persist_session(
-                self.result, self.ticket, certificate, events)
+            from repro.store.protocol import build_trail
+            deployment = self._deployment
+            deployment.store.put_trail(build_trail(
+                self.result, self.ticket, org=deployment.org,
+                boot=deployment.boot, certificate=certificate,
+                events=events))
         return False  # never swallow the body's exception
 
 
@@ -220,13 +225,16 @@ class Deployment:
 
     Wraps :class:`~repro.framework.orchestrator.WatchITDeployment`; the
     underlying orchestrator stays reachable via :attr:`orchestrator` for
-    advanced use (anomaly detection, LDA training, the cluster manager).
+    advanced use (LDA training, the cluster manager).
 
     Every handled session's full trail — session row, ticket, revoked
     certificate, every audit event — lands in :attr:`store` (a
-    :class:`~repro.store.MemoryStore` unless one is injected), so
-    :meth:`sessions` and :meth:`session_trail` work identically whether
-    history lives in memory or in the SQLite file behind :meth:`open`.
+    :class:`~repro.store.MemoryStore` unless one is injected). The store
+    is the organization's only audit history: :meth:`sessions`,
+    :meth:`session_trail`, :meth:`audit_summary` and
+    :meth:`detect_anomalies` all read it, so they work identically
+    whether history lives in memory or in the SQLite file behind
+    :meth:`open`, and they see every earlier life of that file.
     """
 
     def __init__(self, orchestrator: WatchITDeployment,
@@ -325,45 +333,6 @@ class Deployment:
     def _mint_session_id(self) -> str:
         return f"{self.org}-b{self.boot}-s{next(self._session_seq)}"
 
-    def _persist_session(self, result: TicketResult, ticket: Ticket,
-                         certificate, events) -> None:
-        """Write one handled session's full trail into the store."""
-        from repro.store.protocol import (
-            CertificateRow,
-            SessionRow,
-            SessionTrail,
-            TicketRow,
-        )
-
-        assert result.session_id is not None
-        certificates = ()
-        if certificate is not None:
-            certificates = (CertificateRow(
-                session_id=result.session_id, serial=certificate.serial,
-                admin=result.admin, ticket_id=ticket.ticket_id,
-                machine=result.machine, ticket_class=result.ticket_class,
-                issued_at=certificate.issued_at,
-                expires_at=certificate.expires_at,
-                signature=certificate.signature, revoked=True),)
-        trail = SessionTrail(
-            session=SessionRow(
-                session_id=result.session_id, org=self.org, boot=self.boot,
-                shard=None, ticket_id=ticket.ticket_id,
-                ticket_class=result.ticket_class, machine=result.machine,
-                admin=result.admin, reporter=ticket.reporter,
-                resolved=result.resolved, error=result.error,
-                audit_records=result.audit_records,
-                duration_s=result.duration_s, latency_s=result.latency_s,
-                pool_hit=None, created_at=time.time()),
-            ticket=TicketRow(
-                session_id=result.session_id, ticket_id=ticket.ticket_id,
-                org=self.org, reporter=ticket.reporter, text=ticket.text,
-                machine=result.machine, ticket_class=result.ticket_class,
-                status=ticket.status.name),
-            certificates=certificates,
-            events=tuple(events))
-        self.store.put_trail(trail)
-
     def sessions(self, limit: Optional[int] = None,
                  ticket_class: Optional[str] = None) -> List["SessionRow"]:
         """This org's persisted sessions, newest first."""
@@ -374,6 +343,13 @@ class Deployment:
         """The full persisted trail of one session (None when unknown)."""
         return self.store.get_trail(session_id)
 
+    def _trails(self) -> Iterator["SessionTrail"]:
+        """Every persisted trail of this org, newest first."""
+        for row in self.store.sessions(org=self.org):
+            trail = self.store.get_trail(row.session_id)
+            if trail is not None:
+                yield trail
+
     # -- introspection -----------------------------------------------------
 
     @property
@@ -381,20 +357,47 @@ class Deployment:
         return tuple(sorted(self.orchestrator.machines))
 
     def audit_summary(self) -> Dict[str, object]:
-        """Organization-wide audit statistics from the central log."""
-        return self.orchestrator.audit_summary()
+        """Organization-wide audit statistics from the store.
 
-    def detect_anomalies(self, threshold: float = 6.0):
-        """Score sessions; anomalous ones are persisted as store alerts."""
-        scores = self.orchestrator.detect_anomalies(threshold=threshold)
-        if scores:
-            from repro.store.protocol import AlertRow
-            for score in scores:
-                self.store.put_alert(AlertRow(
-                    rule="anomaly-detector",
-                    severity="warning",
-                    message=(f"session {score.session_id} scored "
-                             f"{score.score:.2f} (threshold {threshold})"),
-                    created_at=time.time(),
-                    session_id=None))
-        return scores
+        ``verified`` is True when every stored trail of this org passes
+        :func:`~repro.store.replay.verify_trail`.
+        """
+        from repro.errors import IntegrityError
+        from repro.store.replay import verify_trail
+
+        by_decision: Dict[str, int] = {}
+        verified = True
+        for trail in self._trails():
+            for event in trail.events:
+                by_decision[event.decision] = \
+                    by_decision.get(event.decision, 0) + 1
+            try:
+                verify_trail(trail)
+            except IntegrityError:
+                verified = False
+        return {"records": sum(by_decision.values()),
+                "by_decision": by_decision, "verified": verified}
+
+    def detect_anomalies(self, threshold: float = 6.0) -> List["SessionScore"]:
+        """Score every stored session of this org and flag the outliers.
+
+        All sessions form the (assumed mostly benign) baseline — the
+        standard unsupervised-deployment posture (§1/§5.4). Each flagged
+        score is persisted as a store alert keyed by its session id.
+        """
+        from repro.anomaly import AnomalyDetector, SessionLog
+        from repro.store.protocol import AlertRow
+
+        logs = [SessionLog.from_trail(trail) for trail in self._trails()]
+        if not logs:
+            return []
+        detector = AnomalyDetector(threshold=threshold).fit(logs)
+        flagged = [score for score in map(detector.score, logs)
+                   if score.anomalous]
+        for score in flagged:
+            self.store.put_alert(AlertRow(
+                rule="anomaly-detector", severity="warning",
+                message=(f"session {score.session_id} scored "
+                         f"{score.score:.2f} (threshold {threshold})"),
+                created_at=time.time(), session_id=score.session_id))
+        return flagged

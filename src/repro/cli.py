@@ -290,7 +290,8 @@ def _analyzers():
             sarif.CONCURRENCY_TOOL_NAME, _run_lint_threads,
             text=_format_lint_threads,
             json=lambda _analysis, report: report.dumps(),
-            checks=(("--tickets", ">= 1"),), crosscheck=_crosscheck_threads),
+            checks=(("--tickets", ">= 1"), ("--chaos-iterations", ">= 0")),
+            crosscheck=_crosscheck_threads),
         "verify-model": _Analyzer(sarif.MODELCHECK_TOOL_NAME,
                                   _run_verify_model,
                                   checks=(("--depth", ">= 1"),)),

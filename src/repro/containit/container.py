@@ -248,7 +248,6 @@ class PerforatedContainer:
                user: str = "end-user",
                address_book: Optional[AddressBook] = None,
                container_ip: Optional[str] = None,
-               central_audit: Optional[AppendOnlyLog] = None,
                hostname: str = "ITContainer") -> "PerforatedContainer":
         """Deploy ``spec`` on ``kernel`` for a ticket reported by ``user``."""
         address_book = address_book or {}
@@ -259,9 +258,6 @@ class PerforatedContainer:
                                  clock=lambda: kernel.clock)
         net_audit = AppendOnlyLog(name=f"{instance}-net-audit",
                                   clock=lambda: kernel.clock)
-        if central_audit is not None:
-            fs_audit.add_replica(central_audit, mode="aggregate")
-            net_audit.add_replica(central_audit, mode="aggregate")
 
         policy = cls._build_policy(spec)
 

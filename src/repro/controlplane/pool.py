@@ -14,8 +14,8 @@ container may serve again:
 * the NET namespace's firewall, routes, taps, interfaces, and default
   policy are restored (dropping ``pb-grant`` rules);
 * the fs/net/broker audit streams are rotated to fresh *epoch* logs (the
-  old ones stay aggregated in the central append-only store — history is
-  never lost, it just stops being visible from inside the container);
+  old ones are flushed into the session trail — history is never lost,
+  it just stops being visible from inside the container);
 * every ITFS decision cache is dropped;
 * the container's private ``conFS`` is proven untouched via its O(1)
   filesystem generation counter — equal generations mean byte-identical
@@ -358,7 +358,7 @@ class ContainerPool:
         net_ns.interfaces.update(baseline.interfaces)
 
         # 4. rotate audit epochs: the next tenant starts with empty logs;
-        #    prior epochs remain aggregated in the central audit store
+        #    prior epochs are flushed into the session trail
         self._rotate_audit_epochs(pooled)
 
         # 5. drop cached ITFS decisions
@@ -381,20 +381,17 @@ class ContainerPool:
 
         An empty log is indistinguishable from a fresh one — rotating it
         would only churn objects. Any stream the session wrote to gets a
-        fresh epoch log wired to the central store — and its rotated-out
-        epoch is flushed into the durable trail sink first, so history
-        survives the process, not just the lease.
+        fresh epoch log — and its rotated-out epoch is flushed into the
+        durable trail sink first, so history survives the process, not
+        just the lease.
         """
         container = pooled.container
         kernel = container.kernel
-        central = self.cluster.central_audit
 
         def fresh(stream: str) -> AppendOnlyLog:
-            log = AppendOnlyLog(
+            return AppendOnlyLog(
                 name=f"{pooled.spec.name}#e{next(_EPOCH_SEQ)}-{stream}",
                 clock=lambda: kernel.clock)
-            log.add_replica(central, mode="aggregate")
-            return log
 
         if len(container.fs_audit):
             self._emit(pooled, "fs", container.fs_audit)

@@ -21,13 +21,7 @@ from repro.containit.container import AdminShell
 from repro.controlplane._types import ClassifierLike
 from repro.controlplane.sharding import KernelShard
 from repro.errors import ReproError
-from repro.store.protocol import (
-    CertificateRow,
-    SessionRow,
-    SessionTrail,
-    TicketRow,
-    TrailBuffer,
-)
+from repro.store.protocol import SessionTrail, TrailBuffer, build_trail
 
 __all__ = ["ShardServer", "default_session_ops"]
 
@@ -122,29 +116,7 @@ class ShardServer:
             error=error, audit_records=audit_records, duration_s=duration,
             latency_s=duration, shard=shard.index, pool_hit=pool_hit,
             session_id=session_id)
-        trail = SessionTrail(
-            session=SessionRow(
-                session_id=session_id, org=org_name, boot=0,
-                shard=shard.index, ticket_id=ticket.ticket_id,
-                ticket_class=ticket.predicted_class or "?",
-                machine=machine, admin=admin, reporter=reporter,
-                resolved=error is None, error=error,
-                audit_records=audit_records, duration_s=duration,
-                latency_s=duration, pool_hit=pool_hit,
-                created_at=time.time()),
-            ticket=TicketRow(
-                session_id=session_id, ticket_id=ticket.ticket_id,
-                org=org_name, reporter=reporter, text=text,
-                machine=machine,
-                ticket_class=ticket.predicted_class or "?",
-                status=ticket.status.name),
-            certificates=(CertificateRow(
-                session_id=session_id, serial=certificate.serial,
-                admin=admin, ticket_id=ticket.ticket_id,
-                machine=machine,
-                ticket_class=ticket.predicted_class or "?",
-                issued_at=certificate.issued_at,
-                expires_at=certificate.expires_at,
-                signature=certificate.signature, revoked=True),),
-            events=self.trails.pop(session_id))
+        trail = build_trail(result, ticket, org=org_name, boot=0,
+                            certificate=certificate,
+                            events=self.trails.pop(session_id))
         return result, trail

@@ -3,9 +3,9 @@
 "Upon classifying the ticket, the framework asks the cluster manager to
 deploy the corresponding perforated container image on the target
 machines" (Section 5.1, Figure 3). The cluster manager owns the machine
-registry, allocates container IPs, wires up the permission broker per
-deployment, and replicates every container's audit logs to the central
-append-only store.
+registry, allocates container IPs, and wires up the permission broker per
+deployment. It keeps no audit history of its own: each session's audit
+streams reach the organization's :class:`~repro.store.EventStore` trail.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 from repro.broker import BrokerPolicy, PermissionBroker, permissive_policy
 from repro.containit import AddressBook, PerforatedContainer, PerforatedContainerSpec
 from repro.errors import InvalidArgument, IntegrityError
-from repro.itfs import AppendOnlyLog
 from repro.kernel import Kernel, Network
 from repro.tcb import SecureBoot
 
@@ -32,7 +31,13 @@ class Deployment:
 
 
 class ClusterManager:
-    """Registry of managed machines plus the deployment engine."""
+    """Registry of managed machines plus the deployment engine.
+
+    Each :class:`Deployment` carries its own audit logs (the container's
+    fs/net streams and the broker's). The ``repro.api`` facade and the
+    control plane copy them into the session's store trail; there is no
+    cluster-wide copy.
+    """
 
     def __init__(self, network: Optional[Network] = None,
                  address_book: Optional[AddressBook] = None,
@@ -47,8 +52,6 @@ class ClusterManager:
         self._boots: Dict[str, SecureBoot] = {}
         self._ip_suffix = itertools.count(2)
         self._ip_base = container_ip_base
-        #: the organizational remote append-only log (Table 1, attack 6)
-        self.central_audit = AppendOnlyLog(name="central-audit")
 
     # ------------------------------------------------------------------
 
@@ -87,12 +90,11 @@ class ClusterManager:
             boot.assert_booted()
         container = PerforatedContainer.deploy(
             kernel, spec, user=user, address_book=self.address_book,
-            container_ip=self._allocate_ip(), central_audit=self.central_audit)
+            container_ip=self._allocate_ip())
         broker = PermissionBroker(
             kernel, container, policy=self.broker_policy,
             address_book=self.address_book,
             software_repository=self.software_repository)
-        broker.audit.add_replica(self.central_audit, mode="aggregate")
         return Deployment(machine=machine, container=container, broker=broker)
 
     def teardown(self, deployment: Deployment,

@@ -250,43 +250,3 @@ class WatchITDeployment:
                                    seed=seed).train(tickets)
         self.classifier = classifier
         return classifier
-
-    # ------------------------------------------------------------------
-
-    def audit_summary(self) -> Dict[str, object]:
-        """Organization-wide audit statistics from the central log."""
-        log = self.cluster.central_audit
-        return {
-            "records": len(log),
-            "by_decision": log.counts_by("decision"),
-            "verified": log.is_intact(),
-        }
-
-    def session_logs(self):
-        """Reconstruct per-source session logs from the central audit store.
-
-        Aggregated records carry their origin (``source_log``); grouping by
-        it recovers one :class:`~repro.anomaly.SessionLog` per container
-        audit stream — the input the anomaly detector consumes.
-        """
-        from repro.anomaly import SessionLog
-        grouped: Dict[str, list] = {}
-        for record in self.cluster.central_audit.records:
-            source = str(record.details.get("source_log", "unattributed"))
-            grouped.setdefault(source, []).append(record)
-        return [SessionLog(session_id=source, records=records)
-                for source, records in sorted(grouped.items())]
-
-    def detect_anomalies(self, threshold: float = 6.0):
-        """Fit on the org's sessions and flag outliers (§1/§5.4 analysis).
-
-        Uses all reconstructed sessions as the (assumed mostly benign)
-        baseline — the standard unsupervised-deployment posture.
-        """
-        from repro.anomaly import AnomalyDetector
-        logs = self.session_logs()
-        if not logs:
-            return []
-        detector = AnomalyDetector(threshold=threshold).fit(logs)
-        return [score for score in (detector.score(log) for log in logs)
-                if score.anomalous]

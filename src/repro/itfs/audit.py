@@ -70,7 +70,7 @@ class AppendOnlyLog:
         self.name = name
         self._records: List[AuditRecord] = []
         self._clock = clock or (lambda: len(self._records))
-        self._replicas: List[tuple] = []  # (log, mode)
+        self._replicas: List["AppendOnlyLog"] = []
 
     # -- writing -----------------------------------------------------------
 
@@ -84,14 +84,8 @@ class AppendOnlyLog:
             prev_digest=prev,
         ).seal()
         self._records.append(record)
-        for replica, mode in self._replicas:
-            if mode == "mirror":
-                replica._receive(record)
-            else:
-                replica.append(actor=record.actor, op=record.op,
-                               path=record.path, decision=record.decision,
-                               rule=record.rule, source_log=self.name,
-                               source_seq=record.seq, **record.details)
+        for replica in self._replicas:
+            replica._receive(record)
         return record
 
     def _receive(self, record: AuditRecord) -> None:
@@ -102,17 +96,10 @@ class AppendOnlyLog:
         """
         self._records.append(replace(record, details=dict(record.details)))
 
-    def add_replica(self, replica: "AppendOnlyLog", mode: str = "mirror") -> None:
-        """Fan appends out to ``replica``.
-
-        ``mirror`` keeps an exact, digest-identical copy of this single log
-        (supports :meth:`divergence_from`). ``aggregate`` re-logs each
-        record into the replica's *own* hash chain — use this when many
-        logs feed one central store.
-        """
-        if mode not in ("mirror", "aggregate"):
-            raise ValueError(f"bad replica mode {mode!r}")
-        self._replicas.append((replica, mode))
+    def add_replica(self, replica: "AppendOnlyLog") -> None:
+        """Mirror appends into ``replica``: an exact, digest-identical copy
+        of this log (supports :meth:`divergence_from`)."""
+        self._replicas.append(replica)
 
     # -- reading -----------------------------------------------------------
 

@@ -26,10 +26,17 @@ re-verified from persisted rows alone — across process restarts.
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence,
+                    Tuple)
 
 from repro.itfs.audit import AuditRecord
+
+if TYPE_CHECKING:
+    from repro.api import TicketResult
+    from repro.framework.certificates import Certificate
+    from repro.framework.tickets import Ticket
 
 __all__ = [
     "AlertRow",
@@ -42,6 +49,7 @@ __all__ = [
     "TicketRow",
     "TrailBuffer",
     "TrailSink",
+    "build_trail",
     "event_row_from_record",
     "record_from_event_row",
 ]
@@ -193,6 +201,44 @@ class SessionTrail:
             "certificates": [c.to_dict() for c in self.certificates],
             "events": [e.to_dict() for e in self.events],
         }
+
+
+def build_trail(result: "TicketResult", ticket: "Ticket", *, org: str,
+                boot: int, certificate: Optional["Certificate"] = None,
+                events: Sequence[AuditEventRow] = ()) -> SessionTrail:
+    """Assemble one served session's trail from its ``TicketResult``.
+
+    The facade's ``Session`` and the control plane's ``ShardServer`` both
+    build their trails here. ``certificate`` is the session's login
+    certificate, stored as revoked; ``events`` are its audit rows.
+    """
+    session_id = result.session_id
+    assert session_id is not None
+    certificates: Tuple[CertificateRow, ...] = ()
+    if certificate is not None:
+        certificates = (CertificateRow(
+            session_id=session_id, serial=certificate.serial,
+            admin=result.admin, ticket_id=result.ticket_id,
+            machine=result.machine, ticket_class=result.ticket_class,
+            issued_at=certificate.issued_at,
+            expires_at=certificate.expires_at,
+            signature=certificate.signature, revoked=True),)
+    return SessionTrail(
+        session=SessionRow(
+            session_id=session_id, org=org, boot=boot, shard=result.shard,
+            ticket_id=result.ticket_id, ticket_class=result.ticket_class,
+            machine=result.machine, admin=result.admin,
+            reporter=ticket.reporter, resolved=result.resolved,
+            error=result.error, audit_records=result.audit_records,
+            duration_s=result.duration_s, latency_s=result.latency_s,
+            pool_hit=result.pool_hit, created_at=time.time()),
+        ticket=TicketRow(
+            session_id=session_id, ticket_id=result.ticket_id, org=org,
+            reporter=ticket.reporter, text=ticket.text,
+            machine=result.machine, ticket_class=result.ticket_class,
+            status=ticket.status.name),
+        certificates=certificates,
+        events=tuple(events))
 
 
 def event_row_from_record(session_id: str, stream: str,

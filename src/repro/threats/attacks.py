@@ -132,7 +132,7 @@ class ThreatRig:
         # off-host mirror the contained admin has no path to
         from repro.itfs import AppendOnlyLog
         remote_log = AppendOnlyLog(name="remote-mirror")
-        container.fs_audit.add_replica(remote_log, mode="mirror")
+        container.fs_audit.add_replica(remote_log)
         # arm the ingress malware detector on the container's namespace
         if container.monitor is not None:
             container.monitor.add_rule(

@@ -19,6 +19,7 @@ from repro.errors import ReproError
 from repro.faults import FaultPlane, scope
 from repro.faults.chaos import default_chaos_rules
 from repro.framework.orchestrator import WatchITDeployment
+from repro.store import TrailBuffer
 
 MACHINE = "ws-01"
 ADMIN = "it-duty"
@@ -119,16 +120,25 @@ class TestScrubOnRelease:
     def test_rotated_audit_history_survives_centrally(self, org, pool):
         host = org.machines[MACHINE]
         host.rootfs.populate({"srv": {"data": {"f.txt": "x"}}})
-        before = len(org.cluster.central_audit)
+        pool.sink = sink = TrailBuffer()
 
         ticket, pooled, shell, client = _lease(org, pool, "alice")
+        pooled.session_id = "s-rotated"
         client.share_path("/srv/data")
         shell.read_file("/srv/data/f.txt")
+        fs_records = pooled.container.fs_audit.records
+        broker_records = pooled.deployment.broker.audit.records
         _finish(org, pool, ticket, pooled, shell)
 
         # epoch rotation drops the container-visible log, never the
-        # central append-only aggregate
-        assert len(org.cluster.central_audit) > before
+        # history: the rotated epochs reached the trail sink intact
+        assert len(pooled.container.fs_audit) == 0
+        events = sink.pop("s-rotated")
+        for stream, records in (("fs", fs_records),
+                                ("broker", broker_records)):
+            rows = [e for e in events if e.stream == stream]
+            assert [e.digest for e in rows] == [r.digest for r in records]
+        assert any(e.path == "/srv/data/f.txt" for e in events)
 
     def test_network_grant_does_not_leak(self, org, pool):
         ticket, pooled, shell, client = _lease(org, pool, "alice")

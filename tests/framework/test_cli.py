@@ -414,6 +414,7 @@ class TestExitCodeConvention:
         ["lint-threads", "--fail-on", "bogus"],
         ["lint-threads", "--path", "/nonexistent"],
         ["lint-threads", "--crosscheck", "--tickets", "0"],
+        ["lint-threads", "--crosscheck", "--chaos-iterations", "-1"],
         ["verify-model", "--class", "T-99"],
         ["verify-model", "--depth", "0"],
         ["verify-model", "--include-lint"],

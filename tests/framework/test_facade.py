@@ -1,9 +1,11 @@
 """The stable public facade: Deployment / Session / TicketResult."""
 
+import sqlite3
+
 import pytest
 
 from repro import Deployment, Session, TicketResult
-from repro.errors import TicketError
+from repro.errors import AccessBlocked, TicketError
 
 ADMIN = "it-bob"
 
@@ -169,6 +171,45 @@ class TestDeploymentSurface:
         summary = deployment.audit_summary()
         assert summary["verified"]
         assert summary["records"] > 0
+        # the summary counts exactly the stored trails' events
+        assert summary["records"] == sum(
+            row.audit_records for row in deployment.sessions())
+        assert sum(summary["by_decision"].values()) == summary["records"]
+
+    def test_audit_summary_counts_denials(self, deployment):
+        host = deployment.orchestrator.machines["ws-01"]
+        host.rootfs.populate({"home": {"alice": {
+            "payroll.docx": b"PK\x03\x04 salaries"}}})
+        denies = deployment.audit_summary()["by_decision"].get("deny", 0)
+        ticket = deployment.submit("alice", "matlab license expired",
+                                   machine="ws-01")
+        with deployment.session(ticket, admin=ADMIN) as session:
+            with pytest.raises(AccessBlocked):
+                session.shell.read_file("/home/alice/payroll.docx")
+        summary = deployment.audit_summary()
+        assert summary["verified"]
+        assert summary["by_decision"]["deny"] > denies
+
+    def test_audit_summary_fails_on_a_tampered_trail(self, tmp_path):
+        path = str(tmp_path / "t.db")
+        dep = Deployment.open(path, machines=("ws-01",), users=("alice",))
+        dep.register_admin(ADMIN)
+        ticket = dep.submit("alice", "my matlab license expired",
+                            machine="ws-01")
+        dep.handle(ticket, admin=ADMIN,
+                   run=lambda s: s.shell.read_file(
+                       "/home/alice/matlab/license.lic"))
+        assert dep.audit_summary()["verified"] is True
+        dep.store.close()
+        with sqlite3.connect(path) as db:
+            db.execute("UPDATE audit_events SET path = '/forged' "
+                       "WHERE stream = 'fs'")
+        reopened = Deployment.open(path, machines=("ws-01",),
+                                   users=("alice",))
+        try:
+            assert reopened.audit_summary()["verified"] is False
+        finally:
+            reopened.store.close()
 
     def test_orchestrator_stays_reachable(self, deployment):
         assert deployment.orchestrator.machines["ws-01"].hostname == "ws-01"

@@ -120,13 +120,6 @@ class TestClusterManager:
         b = manager.deploy(TABLE3_SPECS["T-1"], "ws-01")
         assert a.container.container_ip != b.container.container_ip
 
-    def test_audit_replication_to_central_log(self, managed):
-        net, host, manager = managed
-        deployment = manager.deploy(TABLE3_SPECS["T-11"], "ws-01", user="alice")
-        shell = deployment.container.login("it-bob")
-        shell.write_file("/tmp/scratch", b"x")
-        assert len(manager.central_audit) > 0
-
     def test_teardown(self, managed):
         net, host, manager = managed
         deployment = manager.deploy(TABLE3_SPECS["T-1"], "ws-01")

