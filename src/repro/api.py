@@ -33,10 +33,11 @@ import time
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+from repro.framework.cluster import Deployment as ClusterDeployment
+from repro.framework.lifecycle import ClusterSource, TicketSession
 from repro.framework.orchestrator import (
     DEFAULT_MACHINES,
     DEFAULT_USERS,
-    HandledSession,
     WatchITDeployment,
 )
 from repro.framework.tickets import Ticket
@@ -85,8 +86,8 @@ class TicketResult:
         resolved: the session closed cleanly (tickets whose session body
             raised are still torn down, but report ``resolved=False``).
         error: stringified exception when ``resolved`` is False.
-        audit_records: records this session appended across the
-            container's fs/net audit streams and the broker log.
+        audit_records: records this session appended across its
+            containers' fs/net audit streams and broker logs.
         duration_s: wall-clock session time.
         latency_s: end-to-end admission-to-completion time (queue wait +
             session); equals ``duration_s`` on the serial facade, where
@@ -117,106 +118,39 @@ class TicketResult:
         return asdict(self)
 
 
-class Session:
+class Session(TicketSession[ClusterDeployment]):
     """One ticket-handling session (enter = classify+deploy+login).
 
-    Only usable as a context manager; the exit path *always* resolves the
-    ticket — certificate revoked, container(s) torn down — whether the
-    body completed or raised. After exit, :attr:`result` carries the
-    :class:`TicketResult`.
+    Only usable as a context manager; the exit path *always* closes the
+    session — certificates revoked, container(s) torn down — whether the
+    body completed or raised (then the ticket stays assigned). After exit,
+    :attr:`result` carries the :class:`TicketResult`.
     """
 
     def __init__(self, deployment: "Deployment", ticket: Ticket, admin: str,
                  ttl: Optional[int] = None):
+        org = deployment.orchestrator
+        super().__init__(org, ticket, admin, ClusterSource(org.cluster),
+                         ttl=ttl)
         self._deployment = deployment
-        self.ticket = ticket
-        self.admin = admin
-        self.ttl = ttl
-        self._handled: Optional[HandledSession] = None
         self._started = 0.0
         self.result: Optional[TicketResult] = None
         #: durable-store key; minted on enter, persisted on exit
         self.session_id: Optional[str] = None
 
-    # -- the live-session surface (valid between enter and exit) ----------
-
-    @property
-    def handled(self) -> HandledSession:
-        if self._handled is None:
-            raise RuntimeError("session is not open; use it as a "
-                               "context manager")
-        return self._handled
-
-    @property
-    def shell(self):
-        """The admin's shell inside the perforated container."""
-        return self.handled.shell
-
-    @property
-    def client(self):
-        """The permission-broker client (the ``PB`` command)."""
-        return self.handled.client
-
-    @property
-    def container(self):
-        return self.handled.container
-
-    @property
-    def certificate(self):
-        return self.handled.certificate
-
-    # -- context management ------------------------------------------------
-
     def __enter__(self) -> "Session":
         self._started = time.perf_counter()
         self.session_id = self._deployment._mint_session_id()
-        self._handled = self._deployment.orchestrator.handle(
-            self.ticket, admin=self.admin, ttl=self.ttl)
+        self.org.open(self)
         return self
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
-        handled, self._handled = self._handled, None
-        audit_records = 0
-        events: List[object] = []
-        certificate = None
-        if handled is not None:
-            container = handled.deployment.container
-            broker = handled.deployment.broker
-            audit_records = (len(container.fs_audit) + len(container.net_audit)
-                             + len(broker.audit))
-            # the audit streams must be captured *before* resolve tears
-            # the deployment down — this is the durable copy of the trail
-            if self.session_id is not None:
-                from repro.store.protocol import event_row_from_record
-                for stream, log in (("fs", container.fs_audit),
-                                    ("net", container.net_audit),
-                                    ("broker", broker.audit)):
-                    events.extend(
-                        event_row_from_record(self.session_id, stream, rec)
-                        for rec in log.records)
-            certificate = handled.certificate
-            # teardown must run even when the session body raised — the
-            # paper's "revoked once the ticket time expires" posture means
-            # an erroring admin session never lingers
-            self._deployment.orchestrator.resolve(handled)
-        elapsed = time.perf_counter() - self._started
-        self.result = TicketResult(
-            ticket_id=self.ticket.ticket_id,
-            ticket_class=self.ticket.predicted_class or "?",
-            machine=self.ticket.machine,
-            admin=self.admin,
-            resolved=exc_type is None,
-            error=None if exc is None else f"{type(exc).__name__}: {exc}",
-            audit_records=audit_records,
-            duration_s=elapsed, latency_s=elapsed,
-            session_id=self.session_id)
-        if self.session_id is not None:
-            from repro.store.protocol import build_trail
-            deployment = self._deployment
-            deployment.store.put_trail(build_trail(
-                self.result, self.ticket, org=deployment.org,
-                boot=deployment.boot, certificate=certificate,
-                events=events))
+        deployment = self._deployment
+        self.org.resolve(self, exc)
+        self.result, trail = self.settle(
+            session_id=self.session_id, started=self._started,
+            org=deployment.org, boot=deployment.boot)
+        deployment.store.put_trail(trail)
         return False  # never swallow the body's exception
 
 

@@ -70,6 +70,7 @@ class TicketEnvelope:
     enqueued_at: float
     org: str = "default"
     session_id: Optional[str] = None
+    target_machine: Optional[str] = None  # T-9: a second leg, same shard
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,14 @@ from repro.framework.orchestrator import DEFAULT_MACHINES, DEFAULT_USERS
 from repro.store.memory import MemoryStore
 from repro.store.protocol import EventStore, SessionTrail
 
-__all__ = ["ControlPlane", "SessionOps", "WORKER_MODES",
+__all__ = ["ControlPlane", "SessionOps", "TicketRow", "WORKER_MODES",
            "default_session_ops"]
 
 #: A session body: receives the admin shell and the broker client.
 SessionOps = Callable[[object, object], None]
+
+#: ``(reporter, text, machine)``, plus a T-9 ``target_machine`` if any
+TicketRow = Tuple[str, ...]
 
 #: End-to-end (admission -> settle) latency buckets: finer than the
 #: decade-wide defaults so the histogram supports meaningful percentile
@@ -128,6 +131,12 @@ _Pending = Tuple["Future[Any]", Optional[float], int]
 
 #: Admitted tickets bound for one shard, with their futures.
 _Chunk = List[Tuple[TicketEnvelope, "Future[TicketResult]"]]
+
+
+def _row(reporter: str, text: str, machine: str,
+         target_machine: Optional[str]) -> TicketRow:
+    return ((reporter, text, machine) if target_machine is None
+            else (reporter, text, machine, target_machine))
 
 
 class _Backend:
@@ -213,7 +222,8 @@ class _ThreadBackend(_Backend):
                 try:
                     result, trail = server.serve_traced(
                         env.reporter, env.text, env.machine, env.admin,
-                        env.ops, session_id=env.session_id, org_name=env.org)
+                        env.ops, session_id=env.session_id, org_name=env.org,
+                        target_machine=env.target_machine)
                 except BaseException as exc:  # noqa: BLE001 - boundary
                     # in-process callers get the raw exception
                     self.plane._settle(env.seq, error=exc)
@@ -609,7 +619,8 @@ class ControlPlane:
             if self._admitting == 0:
                 self._quiesced.notify_all()
 
-    def _envelope(self, reporter: str, text: str, machine: str, admin: str,
+    def _envelope(self, reporter: str, text: str, machine: str,
+                  target_machine: Optional[str], admin: str,
                   ops: Optional[SessionOps],
                   org: Optional[str] = None) -> TicketEnvelope:
         """One envelope, with its own admission clock read (never shared
@@ -625,23 +636,27 @@ class ControlPlane:
                               text=text, machine=machine, admin=admin,
                               ops=ops, enqueued_at=time.perf_counter(),
                               org=org,
-                              session_id=f"{org}-b{self.boot}-{seq}")
+                              session_id=f"{org}-b{self.boot}-{seq}",
+                              target_machine=target_machine)
 
     def submit(self, reporter: str, text: str, machine: str, admin: str,
                ops: Optional[SessionOps] = None,
-               org: Optional[str] = None) -> "Future[TicketResult]":
+               org: Optional[str] = None,
+               target_machine: Optional[str] = None
+               ) -> "Future[TicketResult]":
         """Route + enqueue one ticket; blocks when the shard is backlogged."""
-        futures, _accepted = self._admit([(reporter, text, machine)], admin,
-                                         ops, org, block=True)
+        futures, _accepted = self._admit(
+            [_row(reporter, text, machine, target_machine)], admin, ops, org,
+            block=True)
         return futures[0]
 
-    def submit_many(self, tickets: Sequence[Tuple[str, str, str]], admin: str,
+    def submit_many(self, tickets: Sequence[TicketRow], admin: str,
                     ops: Optional[SessionOps] = None,
                     org: Optional[str] = None) -> List["Future[TicketResult]"]:
         """Bulk admission: route, pre-classify, and enqueue a whole storm.
 
-        ``tickets`` is a sequence of ``(reporter, text, machine)``. Tickets
-        are enqueued in per-shard chunks, so the queue/handoff cost is paid
+        ``tickets`` is a sequence of :data:`TicketRow`. Tickets are
+        enqueued in per-shard chunks, so the queue/handoff cost is paid
         once per chunk instead of once per ticket; each envelope still
         records its *own* admission timestamp. With in-process (thread)
         workers the storm is pre-classified in one :meth:`classify_batch`
@@ -651,36 +666,46 @@ class ControlPlane:
         future per ticket, in submission order.
         """
         if self._backend.in_process:
-            self.classify_batch([text for _, text, _ in tickets])
+            self.classify_batch([row[1] for row in tickets])
         futures, _accepted = self._admit(tickets, admin, ops, org,
                                          block=True)
         return futures
 
     def try_submit(self, reporter: str, text: str, machine: str, admin: str,
                    ops: Optional[SessionOps] = None,
-                   org: Optional[str] = None
+                   org: Optional[str] = None,
+                   target_machine: Optional[str] = None
                    ) -> Optional["Future[TicketResult]"]:
         """Non-blocking submit: None when the shard queue is full."""
-        futures, accepted = self._admit([(reporter, text, machine)], admin,
-                                        ops, org, block=False)
+        futures, accepted = self._admit(
+            [_row(reporter, text, machine, target_machine)], admin, ops, org,
+            block=False)
         if not accepted and not futures[0].done():
             return None  # queue full: backpressure, not failure
         return futures[0]
 
-    def _admit(self, tickets: Sequence[Tuple[str, str, str]], admin: str,
+    def _admit(self, tickets: Sequence[TicketRow], admin: str,
                ops: Optional[SessionOps], org: Optional[str], block: bool
                ) -> Tuple[List["Future[TicketResult]"], int]:
         """Route and enqueue ``tickets`` in per-shard chunks; returns one
-        future per ticket and how many tickets were accepted."""
+        future per ticket and how many tickets were accepted. A T-9 target
+        on another shard is refused: every shard is its own organization.
+        """
         self._begin_admission()
         accepted = 0
         futures: List["Future[TicketResult]"] = []
         chunks: Dict[int, _Chunk] = {}
         try:
-            for reporter, text, machine in tickets:
+            for reporter, text, machine, *target in tickets:
                 index = self.router.route_index(machine)
-                env = self._envelope(reporter, text, machine, admin, ops,
-                                     org=org)
+                target_machine = target[0] if target else None
+                if target_machine is not None and \
+                        self.router.route_index(target_machine) != index:
+                    raise InvalidArgument(
+                        f"target machine {target_machine!r} is not on "
+                        f"{machine!r}'s shard {index}")
+                env = self._envelope(reporter, text, machine, target_machine,
+                                     admin, ops, org=org)
                 future: "Future[TicketResult]" = Future()
                 futures.append(future)
                 chunk = chunks.setdefault(index, [])

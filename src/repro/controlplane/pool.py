@@ -14,8 +14,8 @@ container may serve again:
 * the NET namespace's firewall, routes, taps, interfaces, and default
   policy are restored (dropping ``pb-grant`` rules);
 * the fs/net/broker audit streams are rotated to fresh *epoch* logs (the
-  old ones are flushed into the session trail — history is never lost,
-  it just stops being visible from inside the container);
+  session's close read the old ones into its trail — history is never
+  lost, it just stops being visible from inside the container);
 * every ITFS decision cache is dropped;
 * the container's private ``conFS`` is proven untouched via its O(1)
   filesystem generation counter — equal generations mean byte-identical
@@ -36,13 +36,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.broker import PermissionBroker
 from repro.containit.container import PerforatedContainer, build_itfs_policy
 from repro.controlplane._types import MetricScope
 from repro.containit.spec import PerforatedContainerSpec
 from repro.errors import ReproError
 from repro.framework.cluster import ClusterManager, Deployment
 from repro.itfs import AppendOnlyLog
-from repro.store.protocol import TrailSink
 
 __all__ = ["ContainerPool", "PooledDeployment"]
 
@@ -94,10 +94,6 @@ class PooledDeployment:
     #: from it when the lease's ticket settles
     pool_hit: bool = False
     leases_served: int = field(default=0)
-    #: durable-store id of the session currently leasing this deployment;
-    #: stamped by the shard server after acquire, read by the pool when it
-    #: flushes rotated audit epochs into the trail sink
-    session_id: Optional[str] = None
     #: user -> already-built ``{user}``-templated share mounts, so rebinding
     #: a container to a returning user is a list swap, not a remount
     share_cache: Dict[str, List[object]] = field(default_factory=dict)
@@ -105,6 +101,10 @@ class PooledDeployment:
     @property
     def container(self) -> PerforatedContainer:
         return self.deployment.container
+
+    @property
+    def broker(self) -> PermissionBroker:
+        return self.deployment.broker
 
 
 class ContainerPool:
@@ -123,9 +123,6 @@ class ContainerPool:
             raise ValueError(f"pool capacity must be >= 0, got {capacity}")
         self.cluster = cluster
         self.capacity = capacity
-        #: where rotated audit epochs are flushed for durable storage; the
-        #: shard server installs its per-worker ``TrailBuffer`` here
-        self.sink: Optional[TrailSink] = None
         self._idle: Dict[PoolKey, List[PooledDeployment]] = {}
         self._gauges: Dict[PoolKey, object] = {}
         self._lock = threading.Lock()
@@ -187,11 +184,6 @@ class ContainerPool:
         except ReproError:
             ok = False
         if not ok or self.closed:
-            # the discard path skips (or aborted) epoch rotation, so any
-            # audit records still in the live streams must reach the sink
-            # now — a terminated-mid-lease container's history is exactly
-            # what forensic replay must not lose
-            self._flush_streams(pooled)
             pooled.container.terminate("pool scrub failed" if not ok
                                        else "pool closed")
             self._m_discarded.inc()
@@ -358,7 +350,7 @@ class ContainerPool:
         net_ns.interfaces.update(baseline.interfaces)
 
         # 4. rotate audit epochs: the next tenant starts with empty logs;
-        #    prior epochs are flushed into the session trail
+        #    the session's close already read the prior epochs
         self._rotate_audit_epochs(pooled)
 
         # 5. drop cached ITFS decisions
@@ -381,9 +373,7 @@ class ContainerPool:
 
         An empty log is indistinguishable from a fresh one — rotating it
         would only churn objects. Any stream the session wrote to gets a
-        fresh epoch log — and its rotated-out epoch is flushed into the
-        durable trail sink first, so history survives the process, not
-        just the lease.
+        fresh epoch log; the session's close already read the old one.
         """
         container = pooled.container
         kernel = container.kernel
@@ -394,37 +384,15 @@ class ContainerPool:
                 clock=lambda: kernel.clock)
 
         if len(container.fs_audit):
-            self._emit(pooled, "fs", container.fs_audit)
             container.fs_audit = fresh("fs-audit")
             for itfs in container.itfs_mounts:
                 itfs.audit = container.fs_audit
         if len(container.net_audit):
-            self._emit(pooled, "net", container.net_audit)
             container.net_audit = fresh("net-audit")
             if container.monitor is not None:
                 container.monitor.audit = container.net_audit
         if len(pooled.deployment.broker.audit):
-            self._emit(pooled, "broker", pooled.deployment.broker.audit)
             pooled.deployment.broker.audit = fresh("broker-audit")
-
-    def _emit(self, pooled: PooledDeployment, stream: str,
-              log: AppendOnlyLog) -> None:
-        """Hand one stream's epoch to the trail sink (when both exist)."""
-        if self.sink is None or pooled.session_id is None or not len(log):
-            return
-        self.sink.emit(pooled.session_id, stream, log.records)
-
-    def _flush_streams(self, pooled: PooledDeployment) -> None:
-        """Flush whatever the live streams still hold (discard path).
-
-        Rotation already emitted (and emptied) any stream it reached, so
-        double emission is structurally impossible: only records never
-        rotated out are still in the live logs.
-        """
-        container = pooled.container
-        self._emit(pooled, "fs", container.fs_audit)
-        self._emit(pooled, "net", container.net_audit)
-        self._emit(pooled, "broker", pooled.deployment.broker.audit)
 
     def _rebuild_filesystem_view(self, pooled: PooledDeployment) -> None:
         """Slow path: the tenant wrote into conFS, so rebuild from image."""

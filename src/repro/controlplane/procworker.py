@@ -136,7 +136,8 @@ def _serve_envelope(server: ShardServer, shard_index: int,
     try:
         result, trail = server.serve_traced(
             env.reporter, env.text, env.machine, env.admin, env.ops,
-            session_id=env.session_id, org_name=env.org)
+            session_id=env.session_id, org_name=env.org,
+            target_machine=env.target_machine)
         return ResultEnvelope(seq=env.seq, shard=shard_index, result=result,
                               trail=trail)
     except BaseException as exc:  # noqa: BLE001 - marshalling boundary

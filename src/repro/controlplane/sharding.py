@@ -66,11 +66,6 @@ class KernelShard:
             classifier=classifier, broker_policy=broker_policy)
         self.pool = ContainerPool(self.org.cluster, capacity=pool_capacity,
                                   registry=registry)
-        #: per-machine login authenticators; building the closure per ticket
-        #: shows up in storm profiles
-        self.authenticators = {
-            machine: self.org.certificates.authenticator(machine=machine)
-            for machine in self.machines}
 
     def prewarm(self, ticket_class: str, count: Optional[int] = None) -> int:
         """Warm ``count`` containers of ``ticket_class`` on every machine."""
@@ -106,7 +101,8 @@ class ShardRouter:
         self.plans: List[ShardPlan] = [
             ShardPlan(index, tuple(sorted(owned)))
             for index, owned in enumerate(by_shard) if owned]
-        self._indexes: Dict[str, int] = dict(assignment)
+        #: machine -> shard index (a T-9 target must share its ticket's)
+        self.indexes: Dict[str, int] = dict(assignment)
         #: with ``build=False`` (process mode) the router is routing-only:
         #: the organizations live inside the worker processes, built from
         #: the pickled :class:`ShardPlan`s, and ``self.shards`` stays empty
@@ -132,14 +128,14 @@ class ShardRouter:
 
     def route_index(self, machine: str) -> int:
         """Machine -> shard index; works in routing-only (lazy) mode too."""
-        index = self._indexes.get(machine)
+        index = self.indexes.get(machine)
         if index is None:
             raise InvalidArgument(f"unknown machine {machine!r}")
         return index
 
     @property
     def machines(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._indexes))
+        return tuple(sorted(self.indexes))
 
     def close(self) -> None:
         for shard in self.shards:

@@ -18,7 +18,8 @@ from repro.framework.images import (
     ImageRepository,
 )
 from repro.framework.lda import LDA, sweep_topic_counts
-from repro.framework.orchestrator import HandledSession, WatchITDeployment
+from repro.framework.lifecycle import ClusterSource, TicketSession
+from repro.framework.orchestrator import WatchITDeployment
 from repro.framework.preprocess import (
     Vocabulary,
     obfuscate,
@@ -34,9 +35,9 @@ __all__ = [
     "CertificateAuthority",
     "ClassificationReport",
     "ClusterManager",
+    "ClusterSource",
     "Deployment",
     "FALLBACK_CLASS",
-    "HandledSession",
     "ImageRepository",
     "KeywordClassifier",
     "LDA",
@@ -47,6 +48,7 @@ __all__ = [
     "TABLE3_SPECS",
     "Ticket",
     "TicketDatabase",
+    "TicketSession",
     "TicketStatus",
     "Vocabulary",
     "WatchITDeployment",

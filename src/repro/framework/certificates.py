@@ -14,7 +14,7 @@ import hmac
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.errors import CertificateError
 
@@ -53,11 +53,10 @@ class CertificateAuthority:
         self._secret = secret
         self.default_ttl = default_ttl
         self._revoked: Set[int] = set()
-        self._issued: Dict[int, Certificate] = {}
-        #: ticket_id -> serials minted for it; revoke_ticket must not scan
-        #: the full issuance history (the control plane revokes per ticket,
-        #: thousands of times per storm)
-        self._by_ticket: Dict[int, list] = {}
+        #: ticket_id -> serials minted for it, dropped by revoke_ticket;
+        #: revoke_ticket must not scan the full issuance history (the
+        #: control plane revokes per ticket, thousands of times per storm)
+        self._by_ticket: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
 
@@ -74,7 +73,6 @@ class CertificateAuthority:
             expires_at=now + (ttl if ttl is not None else self.default_ttl))
         signed = Certificate(**{**cert.__dict__,
                                 "signature": self._sign(cert.payload())})
-        self._issued[signed.serial] = signed
         self._by_ticket.setdefault(ticket_id, []).append(signed.serial)
         return signed
 
@@ -107,7 +105,7 @@ class CertificateAuthority:
     def revoke_ticket(self, ticket_id: int) -> int:
         """Revoke every certificate minted for one ticket."""
         count = 0
-        for serial in self._by_ticket.get(ticket_id, ()):
+        for serial in self._by_ticket.pop(ticket_id, ()):
             if serial not in self._revoked:
                 self._revoked.add(serial)
                 count += 1

@@ -14,20 +14,23 @@ The workflow it drives::
     session.shell.read_file("/home/alice/matlab/license.lic")
     session.client.pb("ps -a")                            # escalation
     deployment.resolve(session)                           # revoke + teardown
+
+``handle``/``resolve`` open and close a :mod:`repro.framework.lifecycle`
+session on freshly deployed containers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.broker import BrokerClient, BrokerPolicy, permissive_policy
-from repro.containit import AddressBook, AdminShell, PerforatedContainer
-from repro.framework.certificates import Certificate, CertificateAuthority
+from repro.broker import BrokerPolicy, permissive_policy
+from repro.containit import AddressBook
+from repro.framework.certificates import CertificateAuthority
 from repro.framework.classifier import KeywordClassifier, LDAClassifier
 from repro.framework.cluster import ClusterManager, Deployment
 from repro.framework.images import ImageRepository
-from repro.framework.tickets import Role, Ticket, TicketDatabase, TicketStatus
+from repro.framework.lifecycle import ClusterSource, TicketSession
+from repro.framework.tickets import Role, Ticket, TicketDatabase
 from repro.kernel import Kernel, Network
 from repro.tcb import install_watchit_components
 
@@ -42,25 +45,6 @@ DEFAULT_SERVICES = {
 
 DEFAULT_MACHINES = ("ws-01", "ws-02", "ws-03")
 DEFAULT_USERS = ("alice", "bob", "carol")
-
-
-@dataclass
-class HandledSession:
-    """Everything minted for one ticket-handling session."""
-
-    ticket: Ticket
-    deployment: Deployment
-    certificate: Certificate
-    shell: AdminShell
-    client: BrokerClient
-    #: second deployment on the ticket's target machine, for classes with
-    #: ``deploy_on_target_too`` (the paper's T-9)
-    target_deployment: Optional[Deployment] = None
-    target_shell: Optional[AdminShell] = None
-
-    @property
-    def container(self) -> PerforatedContainer:
-        return self.deployment.container
 
 
 class WatchITDeployment:
@@ -81,7 +65,11 @@ class WatchITDeployment:
         #: optional permission-based assignment (paper §2/§6.2)
         self.assignment_policy = assignment_policy
         self.clock = 0
-        self.sessions: List[HandledSession] = []
+        self.sessions: List[TicketSession[Deployment]] = []
+        #: per-machine login authenticators, built once, not per login
+        self.authenticators = {
+            machine: certificates.authenticator(machine=machine)
+            for machine in machines}
 
     # ------------------------------------------------------------------
     # bootstrap
@@ -160,10 +148,8 @@ class WatchITDeployment:
                 self.certificates.validate(session.certificate,
                                            session.certificate.admin)
             except CertificateError:
-                session.container.terminate("certificate expired")
-                if session.target_deployment is not None:
-                    session.target_deployment.container.terminate(
-                        "certificate expired")
+                for leg in session.legs:
+                    leg.lease.container.terminate("certificate expired")
                 continue
             live.append(session)
         self.sessions = live
@@ -194,54 +180,25 @@ class WatchITDeployment:
         return predicted
 
     def handle(self, ticket: Ticket, admin: str,
-               ttl: Optional[int] = None) -> HandledSession:
-        """Classify, deploy, mint a certificate, and log the admin in."""
+               ttl: Optional[int] = None) -> TicketSession[Deployment]:
+        """Classify, then open the ticket's session on fresh containers."""
+        return self.open(TicketSession(self, ticket, admin,
+                                       ClusterSource(self.cluster), ttl=ttl))
+
+    def open(self, session: TicketSession[Deployment]
+             ) -> TicketSession[Deployment]:
+        """Open ``session`` (classifying its ticket first if needed)."""
         self.tick()
-        if ticket.predicted_class is None:
-            self.classify(ticket)
-        if self.assignment_policy is not None:
-            self.assignment_policy.assign(admin, ticket)
-        else:
-            ticket.assign_to(admin)
-        spec = self.images.get(ticket.predicted_class)
-        deployment = self.cluster.deploy(spec, ticket.machine,
-                                         user=ticket.reporter)
-        certificate = self.certificates.issue(
-            admin, ticket.ticket_id, ticket.machine, ticket.predicted_class,
-            ttl=ttl)
-        shell = deployment.container.login(
-            admin, certificate=certificate,
-            authenticator=self.certificates.authenticator(machine=ticket.machine))
-        client = BrokerClient(shell, deployment.broker,
-                              ticket_class=ticket.predicted_class)
-        target_deployment = None
-        target_shell = None
-        if spec.deploy_on_target_too and ticket.target_machine and \
-                ticket.target_machine != ticket.machine:
-            # the paper's T-9: configurations may need fixing on both ends
-            target_deployment = self.cluster.deploy(
-                spec, ticket.target_machine, user=ticket.reporter)
-            target_shell = target_deployment.container.login(
-                admin, certificate=certificate,
-                authenticator=self.certificates.authenticator())
-        ticket.status = TicketStatus.IN_PROGRESS
-        session = HandledSession(ticket=ticket, deployment=deployment,
-                                 certificate=certificate, shell=shell,
-                                 client=client,
-                                 target_deployment=target_deployment,
-                                 target_shell=target_shell)
-        self.sessions.append(session)
+        if session.ticket.predicted_class is None:
+            self.classify(session.ticket)
+        self.sessions.append(session.open())
         return session
 
-    def resolve(self, session: HandledSession) -> None:
-        """Close out: revoke certificates, tear down, mark resolved."""
+    def resolve(self, session: TicketSession[Deployment],
+                exc: Optional[BaseException] = None) -> None:
+        """Close out (``exc``: what the session body raised, if anything)."""
         self.tick()
-        self.certificates.revoke_ticket(session.ticket.ticket_id)
-        self.cluster.teardown(session.deployment, reason="ticket resolved")
-        if session.target_deployment is not None:
-            self.cluster.teardown(session.target_deployment,
-                                  reason="ticket resolved")
-        session.ticket.resolve()
+        session.close(exc)
 
     def train_lda_classifier(self, tickets, n_topics: int = 10,
                              n_iter: int = 80, seed: int = 0) -> LDAClassifier:

@@ -30,7 +30,6 @@ class TicketStatus(enum.Enum):
     OPEN = "open"
     CLASSIFIED = "classified"
     ASSIGNED = "assigned"
-    IN_PROGRESS = "in-progress"
     RESOLVED = "resolved"
 
 

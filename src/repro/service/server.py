@@ -272,7 +272,7 @@ class TicketService:
         self._metrics.counter("service_tickets_completed_total",
                               outcome=outcome).inc()
 
-    def submit_batch(self, tickets: List[Tuple[str, str, str]],
+    def submit_batch(self, tickets: List[Tuple[str, ...]],
                      admin: str, org: str) -> _SubmitOutcome:
         """Admit + enqueue a parsed batch; one status per ticket.
 
@@ -282,10 +282,10 @@ class TicketService:
         budget.
         """
         outcome = _SubmitOutcome()
-        for reporter, text, machine in tickets:
+        for reporter, text, machine, *target in tickets:
             future = self.plane.try_submit(
                 reporter, text, machine, admin, ops=self.default_ops,
-                org=org)
+                org=org, target_machine=target[0] if target else None)
             if future is None:
                 outcome.rejected += 1
                 outcome.statuses.append("rejected")
@@ -423,7 +423,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             request = parse_ticket_request(
-                body, set(service.plane.router.machines),
+                body, service.plane.router.indexes,
                 max_tickets=MAX_BULK_TICKETS)
         except WireError as exc:
             self._send_json(400, {

@@ -10,6 +10,8 @@ through a compat shim:
 * **Legacy requests** (no ``schema`` key) are upgraded in place — a bare
   ticket object becomes a one-element batch, ``{"tickets": [...]}``
   parses unchanged — so pre-v1 clients never break.
+* A ticket may carry an optional ``target_machine`` (T-9's second
+  machine): a known machine on the same shard as ``machine``.
 * **Unknown schemas** are refused loudly (:class:`WireError` → 400): a
   future ``watchit-ticket/v2`` client talking to a v1 server gets a
   clear version error, never silent misparsing.
@@ -21,7 +23,7 @@ are speaking to before trusting field semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "WIRE_SCHEMA",
@@ -37,6 +39,9 @@ WIRE_SCHEMA = "watchit-ticket/v1"
 
 JsonDict = Dict[str, object]
 
+#: machine -> shard map, or a set of names (targets checked by name only)
+Machines = Union[Mapping[str, int], AbstractSet[str]]
+
 
 class WireError(ValueError):
     """A request that does not parse as any supported wire shape."""
@@ -49,10 +54,7 @@ class TicketSubmission:
     reporter: str
     text: str
     machine: str
-
-    def to_dict(self) -> JsonDict:
-        return {"reporter": self.reporter, "text": self.text,
-                "machine": self.machine}
+    target_machine: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,12 @@ class TicketRequest:
     wait: bool = False
     single: bool = False
 
-    def rows(self) -> List[Tuple[str, str, str]]:
-        """The ``(reporter, text, machine)`` rows admission expects."""
-        return [(t.reporter, t.text, t.machine) for t in self.tickets]
+    def rows(self) -> List[Tuple[str, ...]]:
+        """The ``(reporter, text, machine[, target_machine])`` rows
+        admission expects."""
+        return [(t.reporter, t.text, t.machine) if t.target_machine is None
+                else (t.reporter, t.text, t.machine, t.target_machine)
+                for t in self.tickets]
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ class TicketResponse:
         return payload
 
 
-def _parse_submission(row: object, machines: Set[str]) -> TicketSubmission:
+def _parse_submission(row: object, machines: Machines) -> TicketSubmission:
     if not isinstance(row, dict):
         raise WireError("each ticket must be a JSON object")
     reporter = row.get("reporter")
@@ -110,10 +115,22 @@ def _parse_submission(row: object, machines: Set[str]) -> TicketSubmission:
         raise WireError("each ticket needs non-empty text")
     if not (isinstance(machine, str) and machine in machines):
         raise WireError(f"unknown machine {machine!r}")
-    return TicketSubmission(reporter=reporter, text=text, machine=machine)
+    target = row.get("target_machine")
+    if target is not None:
+        if not (isinstance(target, str) and target in machines):
+            raise WireError(f"unknown target machine {target!r}")
+        shards: Mapping[str, int] = (
+            machines if isinstance(machines, Mapping) else {})
+        if shards.get(target) != shards.get(machine):
+            raise WireError(
+                f"target machine {target!r} is on shard {shards[target]}, "
+                f"machine {machine!r} on shard {shards[machine]}: a session "
+                f"cannot span shards")
+    return TicketSubmission(reporter=reporter, text=text, machine=machine,
+                            target_machine=target)
 
 
-def parse_ticket_request(body: JsonDict, machines: Set[str],
+def parse_ticket_request(body: JsonDict, machines: Machines,
                          max_tickets: int = 10_000) -> TicketRequest:
     """Parse one request body — v1 or legacy — into a :class:`TicketRequest`.
 

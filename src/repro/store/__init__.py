@@ -26,8 +26,6 @@ from repro.store.protocol import (
     SessionRow,
     SessionTrail,
     TicketRow,
-    TrailBuffer,
-    TrailSink,
     event_row_from_record,
     record_from_event_row,
 )
@@ -54,8 +52,6 @@ __all__ = [
     "SessionRow",
     "SessionTrail",
     "TicketRow",
-    "TrailBuffer",
-    "TrailSink",
     "event_row_from_record",
     "format_trail",
     "rebuild_log",

@@ -4,9 +4,9 @@ WatchIT's value proposition is the audit trail — yet an in-memory
 reproduction loses every record, certificate, and metric when the
 process exits. This package makes history a first-class, queryable
 artifact behind one repository protocol: every component that wants to
-touch history (the pool's epoch rotation, the shard servers, the HTTP
-service, the CLI's ``replay``/``history`` verbs, the ``repro.api``
-facade) goes through an :class:`EventStore` — never through scattered
+touch history (the session lifecycle's close, the HTTP service, the
+CLI's ``replay``/``history`` verbs, the ``repro.api`` facade) goes
+through an :class:`EventStore` — never through scattered
 in-memory lists.
 
 Two backends implement the protocol:
@@ -18,7 +18,7 @@ Two backends implement the protocol:
 
 The unit of durability is the :class:`SessionTrail`: one served ticket's
 session row, ticket row, certificates, and every audit event its
-container emitted, written atomically by :meth:`EventStore.put_trail`.
+containers emitted, written atomically by :meth:`EventStore.put_trail`.
 Audit events keep their :class:`~repro.itfs.audit.AppendOnlyLog` hash
 chain fields (``prev_digest``/``digest``) verbatim, so the chain can be
 re-verified from persisted rows alone — across process restarts.
@@ -26,17 +26,10 @@ re-verified from persisted rows alone — across process restarts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
-from typing import (TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence,
-                    Tuple)
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.itfs.audit import AuditRecord
-
-if TYPE_CHECKING:
-    from repro.api import TicketResult
-    from repro.framework.certificates import Certificate
-    from repro.framework.tickets import Ticket
 
 __all__ = [
     "AlertRow",
@@ -47,14 +40,11 @@ __all__ = [
     "SessionRow",
     "SessionTrail",
     "TicketRow",
-    "TrailBuffer",
-    "TrailSink",
-    "build_trail",
     "event_row_from_record",
     "record_from_event_row",
 ]
 
-#: The audit streams a perforated-container session can emit.
+#: A container's audit streams (a T-9 target's are tagged ``fs@<machine>``).
 AUDIT_STREAMS = ("fs", "net", "broker")
 
 
@@ -107,7 +97,7 @@ class AuditEventRow:
     ``(session_id, stream, seq)`` is the primary key; each session's
     per-stream epoch log starts at the genesis digest, so every
     ``(session, stream)`` chain is self-contained and verifiable from
-    these rows alone.
+    these rows alone. A T-9 target's streams are ``<stream>@<machine>``.
     """
 
     session_id: str
@@ -203,44 +193,6 @@ class SessionTrail:
         }
 
 
-def build_trail(result: "TicketResult", ticket: "Ticket", *, org: str,
-                boot: int, certificate: Optional["Certificate"] = None,
-                events: Sequence[AuditEventRow] = ()) -> SessionTrail:
-    """Assemble one served session's trail from its ``TicketResult``.
-
-    The facade's ``Session`` and the control plane's ``ShardServer`` both
-    build their trails here. ``certificate`` is the session's login
-    certificate, stored as revoked; ``events`` are its audit rows.
-    """
-    session_id = result.session_id
-    assert session_id is not None
-    certificates: Tuple[CertificateRow, ...] = ()
-    if certificate is not None:
-        certificates = (CertificateRow(
-            session_id=session_id, serial=certificate.serial,
-            admin=result.admin, ticket_id=result.ticket_id,
-            machine=result.machine, ticket_class=result.ticket_class,
-            issued_at=certificate.issued_at,
-            expires_at=certificate.expires_at,
-            signature=certificate.signature, revoked=True),)
-    return SessionTrail(
-        session=SessionRow(
-            session_id=session_id, org=org, boot=boot, shard=result.shard,
-            ticket_id=result.ticket_id, ticket_class=result.ticket_class,
-            machine=result.machine, admin=result.admin,
-            reporter=ticket.reporter, resolved=result.resolved,
-            error=result.error, audit_records=result.audit_records,
-            duration_s=result.duration_s, latency_s=result.latency_s,
-            pool_hit=result.pool_hit, created_at=time.time()),
-        ticket=TicketRow(
-            session_id=session_id, ticket_id=result.ticket_id, org=org,
-            reporter=ticket.reporter, text=ticket.text,
-            machine=result.machine, ticket_class=result.ticket_class,
-            status=ticket.status.name),
-        certificates=certificates,
-        events=tuple(events))
-
-
 def event_row_from_record(session_id: str, stream: str,
                           record: AuditRecord) -> AuditEventRow:
     """Flatten one sealed :class:`AuditRecord` for the store.
@@ -264,41 +216,6 @@ def record_from_event_row(row: AuditEventRow) -> AuditRecord:
         path=row.path, decision=row.decision, rule=row.rule,
         details=dict(row.details), prev_digest=row.prev_digest,
         digest=row.digest)
-
-
-class TrailSink(Protocol):
-    """Where the container pool flushes rotated audit epochs."""
-
-    def emit(self, session_id: str, stream: str,
-             records: Sequence[AuditRecord]) -> None:
-        """Accept one stream's records for one session."""
-        ...
-
-
-class TrailBuffer:
-    """A per-worker :class:`TrailSink` that buffers events until trail
-    assembly.
-
-    The pool emits each rotated epoch here; the shard server pops the
-    session's events when it assembles the :class:`SessionTrail`. The
-    buffer — not the store — sits behind the pool so every session still
-    lands in the store as exactly one atomic ``put_trail``.
-    """
-
-    def __init__(self) -> None:
-        self._events: Dict[str, List[AuditEventRow]] = {}
-
-    def emit(self, session_id: str, stream: str,
-             records: Sequence[AuditRecord]) -> None:
-        rows = self._events.setdefault(session_id, [])
-        rows.extend(event_row_from_record(session_id, stream, record)
-                    for record in records)
-
-    def pop(self, session_id: str) -> Tuple[AuditEventRow, ...]:
-        return tuple(self._events.pop(session_id, ()))
-
-    def pending(self) -> int:
-        return sum(len(rows) for rows in self._events.values())
 
 
 class EventStore(Protocol):

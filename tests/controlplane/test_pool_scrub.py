@@ -19,7 +19,6 @@ from repro.errors import ReproError
 from repro.faults import FaultPlane, scope
 from repro.faults.chaos import default_chaos_rules
 from repro.framework.orchestrator import WatchITDeployment
-from repro.store import TrailBuffer
 
 MACHINE = "ws-01"
 ADMIN = "it-duty"
@@ -116,29 +115,6 @@ class TestScrubOnRelease:
         assert all(itfs.cached_decisions == 0
                    for itfs in pooled2.container.itfs_mounts)
         _finish(org, pool, ticket2, pooled2, shell2)
-
-    def test_rotated_audit_history_survives_centrally(self, org, pool):
-        host = org.machines[MACHINE]
-        host.rootfs.populate({"srv": {"data": {"f.txt": "x"}}})
-        pool.sink = sink = TrailBuffer()
-
-        ticket, pooled, shell, client = _lease(org, pool, "alice")
-        pooled.session_id = "s-rotated"
-        client.share_path("/srv/data")
-        shell.read_file("/srv/data/f.txt")
-        fs_records = pooled.container.fs_audit.records
-        broker_records = pooled.deployment.broker.audit.records
-        _finish(org, pool, ticket, pooled, shell)
-
-        # epoch rotation drops the container-visible log, never the
-        # history: the rotated epochs reached the trail sink intact
-        assert len(pooled.container.fs_audit) == 0
-        events = sink.pop("s-rotated")
-        for stream, records in (("fs", fs_records),
-                                ("broker", broker_records)):
-            rows = [e for e in events if e.stream == stream]
-            assert [e.digest for e in rows] == [r.digest for r in records]
-        assert any(e.path == "/srv/data/f.txt" for e in events)
 
     def test_network_grant_does_not_leak(self, org, pool):
         ticket, pooled, shell, client = _lease(org, pool, "alice")

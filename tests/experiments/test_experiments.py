@@ -117,6 +117,25 @@ class TestFigure9:
         assert any(r.shape_holds() for r in attempts), \
             [r.normalized for r in attempts]
 
+    def test_head_loads_are_exact_per_cell(self):
+        # the work behind the shape, counted instead of timed: signature
+        # mode reads one file head per checked op, extension mode none
+        from repro.experiments.figure9_itfs import _workloads, _wrap
+
+        checked = {"grep-small": 120, "grep-large": 10, "postmark": 271,
+                   "sysbench": 65}
+        loads = {}
+        for name, build, drive in _workloads(1):
+            for config in ("itfs-extension", "itfs-signature"):
+                itfs = _wrap(build(), config)
+                drive(itfs)
+                assert itfs.ops_total == checked[name], (name, config)
+                loads[name, config] = itfs.head_loads
+        assert loads == {
+            **{(name, "itfs-extension"): 0 for name in checked},
+            **{(name, "itfs-signature"): ops
+               for name, ops in checked.items()}}
+
     def test_all_cells_measured(self):
         result = run_figure9(scale=1, repeats=1)
         assert set(result.normalized) == {"grep-small", "grep-large",

@@ -71,6 +71,14 @@ class TestRevocation:
                 ca.validate(cert, admin)
         ca.validate(c, "it-bob")
 
+    def test_revoked_after_bookkeeping_is_dropped(self, ca):
+        cert = ca.issue("it-bob", 9, "ws-01", "T-1")
+        assert ca.revoke_ticket(9) == 1
+        assert 9 not in ca._by_ticket
+        with pytest.raises(CertificateError, match="revoked"):
+            ca.validate(cert, "it-bob")
+        assert ca.revoke_ticket(9) == 0
+
 
 class TestAuthenticatorHook:
     def test_hook_shape_matches_containit(self, ca):
@@ -79,3 +87,34 @@ class TestAuthenticatorHook:
         check(cert, "it-bob")
         with pytest.raises(CertificateError):
             check(cert, "someone-else")
+
+
+class TestPerMachineLegs:
+    """A T-9 session holds one certificate per machine, each bound."""
+
+    def test_each_leg_has_a_certificate_bound_to_its_machine(self):
+        from repro.framework import WatchITDeployment
+
+        org = WatchITDeployment.bootstrap(machines=("ws-01", "ws-02"))
+        org.register_admin("it-bob")
+        ticket = org.submit_ticket("alice", "ssh vnc session dies",
+                                   machine="ws-01", target_machine="ws-02")
+        session = org.handle(ticket, admin="it-bob")
+        try:
+            source, target = session.legs
+            assert (source.certificate.machine,
+                    target.certificate.machine) == ("ws-01", "ws-02")
+            assert source.certificate.ticket_id == \
+                target.certificate.ticket_id == ticket.ticket_id
+            # the source certificate does not open the target machine
+            with pytest.raises(CertificateError, match="bound to ws-01"):
+                org.authenticators["ws-02"](source.certificate, "it-bob")
+            with pytest.raises(CertificateError):
+                target.lease.container.login(
+                    "it-bob", certificate=source.certificate,
+                    authenticator=org.authenticators["ws-02"])
+        finally:
+            org.resolve(session)
+        for leg in (source, target):
+            with pytest.raises(CertificateError, match="revoked"):
+                org.certificates.validate(leg.certificate, "it-bob")

@@ -151,6 +151,39 @@ class TestDurableFacade:
         assert trail is not None
         assert not trail.session.resolved
         assert "RuntimeError" in trail.session.error
+        # an errored session leaves its ticket open, as the control
+        # plane's sessions do
+        assert trail.ticket.status != "RESOLVED"
+
+
+class TestDualDeploymentSession:
+    """T-9 through the facade: both ends logged in, both ends audited."""
+
+    def test_target_write_reaches_the_stored_trail(self):
+        from repro.store import verify_trail
+
+        dep = Deployment.create(machines=("ws-01", "ws-03"),
+                                users=("alice",))
+        dep.register_admin(ADMIN)
+        ticket = dep.submit("alice", "ssh connection to the lab server "
+                            "hangs, vnc too", machine="ws-01",
+                            target_machine="ws-03")
+        with dep.session(ticket, admin=ADMIN) as session:
+            source, target = session.legs
+            source.shell.write_file("/etc/ssh/sshd_config", b"fixed")
+            target.shell.write_file("/etc/ssh/sshd_config", b"fixed")
+        for machine in ("ws-01", "ws-03"):
+            kernel = dep.orchestrator.machines[machine]
+            assert any(e["kind"] == "admin_login" for e in kernel.events)
+        trail = dep.session_trail(session.result.session_id)
+        verify_trail(trail)
+        streams = {e.stream for e in trail.events}
+        assert {"fs", "fs@ws-03"} <= streams
+        assert any(e.stream == "fs@ws-03" and e.op == "write"
+                   and e.path.endswith("/etc/ssh/sshd_config")
+                   for e in trail.events)
+        assert session.result.audit_records == len(trail.events)
+        assert {c.machine for c in trail.certificates} == {"ws-01", "ws-03"}
 
 
 class TestDeploymentSurface:

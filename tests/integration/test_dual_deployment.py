@@ -19,34 +19,33 @@ class TestDualDeployment:
             machine="ws-01", target_machine="ws-02")
         session = org.handle(ticket, admin="it-bob")
         assert session.container.spec.name == "T-9"
-        assert session.target_deployment is not None
-        assert session.deployment.container.kernel is org.machines["ws-01"]
-        assert session.target_deployment.container.kernel is org.machines["ws-02"]
+        source, target = session.legs
+        assert source.lease.container.kernel is org.machines["ws-01"]
+        assert target.lease.container.kernel is org.machines["ws-02"]
         # the admin can fix sshd_config on both ends
-        session.shell.write_file("/etc/ssh/sshd_config", b"fixed-user-side")
-        session.target_shell.write_file("/etc/ssh/sshd_config",
-                                        b"fixed-target-side")
+        source.shell.write_file("/etc/ssh/sshd_config", b"fixed-user-side")
+        target.shell.write_file("/etc/ssh/sshd_config", b"fixed-target-side")
         for machine, expected in (("ws-01", b"fixed-user-side"),
                                   ("ws-02", b"fixed-target-side")):
             host = org.machines[machine]
             assert host.sys.read_file(host.init, "/etc/ssh/sshd_config") \
                 == expected
         org.resolve(session)
-        assert not session.container.active
-        assert not session.target_deployment.container.active
+        assert not source.lease.container.active
+        assert not target.lease.container.active
 
     def test_no_secondary_without_target_machine(self, org):
         ticket = org.submit_ticket("alice", "ssh vnc session dies",
                                    machine="ws-01")
         session = org.handle(ticket, admin="it-bob")
-        assert session.target_deployment is None
+        assert len(session.legs) == 1
         org.resolve(session)
 
     def test_no_secondary_when_target_equals_machine(self, org):
         ticket = org.submit_ticket("alice", "ssh vnc session dies",
                                    machine="ws-01", target_machine="ws-01")
         session = org.handle(ticket, admin="it-bob")
-        assert session.target_deployment is None
+        assert len(session.legs) == 1
         org.resolve(session)
 
     def test_non_t9_classes_never_dual_deploy(self, org):
@@ -54,7 +53,7 @@ class TestDualDeployment:
                                    machine="ws-01", target_machine="ws-02")
         session = org.handle(ticket, admin="it-bob")
         assert session.container.spec.name == "T-1"
-        assert session.target_deployment is None
+        assert len(session.legs) == 1
         org.resolve(session)
 
     def test_unknown_target_machine_rejected(self, org):
@@ -68,5 +67,5 @@ class TestDualDeployment:
                                    machine="ws-01", target_machine="ws-02")
         session = org.handle(ticket, admin="it-bob", ttl=3)
         org.tick(10)
-        assert not session.container.active
-        assert not session.target_deployment.container.active
+        assert len(session.legs) == 2
+        assert not any(leg.lease.container.active for leg in session.legs)

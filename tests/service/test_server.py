@@ -361,6 +361,61 @@ class TestWireSchemaOverHTTP:
         assert "watchit-ticket/v1" in payload["error"]
 
 
+def fix_sshd_config(shell, client):
+    """Module-level session body: write a file on the leg it runs on."""
+    shell.write_file("/etc/ssh/sshd_config", b"fixed")
+
+
+class TestT9OverHTTP:
+    """A T-9 ticket's target_machine reaches the session over HTTP."""
+
+    T9_TEXT = "ssh connection to the lab server hangs, vnc too"
+
+    @pytest.fixture(scope="class")
+    def t9_service(self):
+        plane = ControlPlane(machines=("ws-01", "ws-02", "ws-03", "ws-04"),
+                             users=USERS, shards=4, pool_size=1)
+        svc = TicketService(plane, ServiceConfig(port=0),
+                            default_ops=fix_sshd_config).start()
+        yield svc
+        svc.close()
+
+    def _ticket(self, target):
+        return {"reporter": "alice", "text": self.T9_TEXT,
+                "machine": "ws-01", "target_machine": target, "wait": True}
+
+    def test_same_shard_target_is_served_on_both_legs(self, t9_service):
+        from repro.store import verify_trail
+
+        status, _, body = _post(t9_service.url + "/tickets",
+                                self._ticket("ws-03"))
+        assert status == 200, body
+        result = json.loads(body)["results"]
+        assert result["resolved"] and result["ticket_class"] == "T-9"
+        trail = t9_service.plane.store.get_trail(result["session_id"])
+        verify_trail(trail)
+        assert {e.stream for e in trail.events
+                if e.op == "write"} == {"fs", "fs@ws-03"}
+        assert result["audit_records"] == len(trail.events)
+        assert {c.machine for c in trail.certificates} == {"ws-01", "ws-03"}
+
+    def test_unknown_target_is_a_400(self, t9_service):
+        status, _, body = _post(t9_service.url + "/tickets",
+                                self._ticket("ws-99"))
+        assert status == 400
+        assert "unknown target machine" in json.loads(body)["error"]
+
+    def test_cross_shard_target_is_a_400_naming_both_shards(self,
+                                                            t9_service):
+        before = t9_service.plane.store.counts()["sessions"]
+        status, _, body = _post(t9_service.url + "/tickets",
+                                self._ticket("ws-02"))
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert "shard 0" in error and "shard 2" in error
+        assert t9_service.plane.store.counts()["sessions"] == before
+
+
 class TestSessionsOverHTTP:
     """GET /sessions and /sessions/<id> read the plane's event store."""
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.service.wire import (
     WIRE_SCHEMA,
-    TicketRequest,
     TicketResponse,
     TicketSubmission,
     WireError,
@@ -41,6 +40,40 @@ class TestV1Requests:
             parse_ticket_request({
                 "schema": "watchit-ticket/v2",
                 "tickets": []}, MACHINES)
+
+
+class TestTargetMachine:
+    """A T-9 ticket's optional second machine, checked at the edge."""
+
+    SHARDS = {"ws-01": 2, "ws-02": 0, "ws-03": 2}
+
+    def _parse(self, target):
+        return parse_ticket_request({
+            "schema": WIRE_SCHEMA,
+            "tickets": [{"reporter": "alice", "text": "ssh hangs",
+                         "machine": "ws-01", "target_machine": target}],
+        }, self.SHARDS)
+
+    def test_target_on_the_same_shard_rides_along(self):
+        request = self._parse("ws-03")
+        assert request.tickets[0].target_machine == "ws-03"
+        assert request.rows() == [("alice", "ssh hangs", "ws-01", "ws-03")]
+
+    def test_unknown_target_is_refused(self):
+        with pytest.raises(WireError, match="unknown target machine"):
+            self._parse("ws-99")
+        with pytest.raises(WireError, match="unknown target machine"):
+            self._parse(7)
+
+    def test_target_on_another_shard_names_both_shards(self):
+        with pytest.raises(WireError, match="shard 0.*shard 2"):
+            self._parse("ws-02")
+
+    def test_a_plain_machine_set_checks_names_only(self):
+        request = parse_ticket_request({
+            "reporter": "alice", "text": "ssh hangs", "machine": "ws-01",
+            "target_machine": "ws-02"}, MACHINES)
+        assert request.tickets[0].target_machine == "ws-02"
 
 
 class TestLegacyShim:
