@@ -2,8 +2,9 @@
 
 The *perforation linter* proves least-privilege claims about a
 ``(spec, itfs_policy, broker_policy)`` triple **before** any container is
-deployed: it symbolically walks the same capability/namespace gates the
-kernel layer enforces, flags over-privilege and dead policy rules, and
+deployed: it reads the gate walk of the model checker's escape actions
+(the one statement of the capability/namespace/path gates the kernel
+layer enforces), flags over-privilege and dead policy rules, and
 reports monitoring gaps — each finding keyed by a stable ``WIT*`` rule ID
 (see ``docs/static_analysis.md`` for the catalog).
 
@@ -15,26 +16,22 @@ Quickstart::
     assert not report.errors          # the tier-1 regression gate
     print(report.format())
 
-The static verdicts are validated against the *dynamic* Table 1 attack
-suite by :func:`run_crosscheck` — static "reachable" must coincide with
-the attacks not being blocked by namespace/path isolation at runtime.
+The same gate walks are validated against the *dynamic* Table 1 attack
+suite by :func:`run_crosscheck` — a route that gets past every isolation
+gate statically must coincide with the attack not being blocked by a
+namespace/path isolation layer at runtime.
 
-One level up, :mod:`repro.analysis.modelcheck` bounds-checks *multi-step*
-escape chains (broker grant -> mount -> syscall compositions the
-single-route linter cannot see) and replays every counterexample witness
-against the live rig — ``repro verify-model`` is the front end.
+The escape actions are transitions of :mod:`repro.analysis.modelcheck`,
+which bounds-checks *multi-step* escape chains (broker grant -> mount ->
+syscall compositions the single-route rules cannot see) and replays
+every counterexample witness against the live rig — ``repro
+verify-model`` is the front end.
 """
 
 from repro.analysis.checkers import (
     Checker,
     default_checkers,
     rule_catalog,
-)
-from repro.analysis.crosscheck import (
-    CrossCheckReport,
-    CrossCheckRow,
-    crosscheck_spec,
-    run_crosscheck,
 )
 from repro.analysis.findings import (
     Finding,
@@ -48,14 +45,12 @@ from repro.analysis.linter import (
     lint_catalog,
 )
 from repro.analysis.model import (
-    EscapePath,
-    Gate,
     LintTarget,
-    PrivilegeModel,
     template_covers,
     templates_overlap,
 )
 from repro.analysis.modelcheck import (
+    Gate,
     ModelCheckResult,
     Reachability,
     VerifyModelReport,
@@ -63,13 +58,18 @@ from repro.analysis.modelcheck import (
     overprivileged_fixture_target,
     run_verify_model,
 )
+from repro.analysis.modelcheck.replay import (
+    CrossCheckReport,
+    CrossCheckRow,
+    crosscheck_spec,
+    run_crosscheck,
+)
 from repro.analysis.sarif import merge_reports, report_to_sarif
 
 __all__ = [
     "Checker",
     "CrossCheckReport",
     "CrossCheckRow",
-    "EscapePath",
     "Finding",
     "Gate",
     "GeneralizationPolicy",
@@ -79,7 +79,6 @@ __all__ = [
     "ModelCheckResult",
     "ObservedUsage",
     "PerforationLinter",
-    "PrivilegeModel",
     "Reachability",
     "RuleInfo",
     "Severity",

@@ -8,7 +8,8 @@ WIT001-WIT005 live in :mod:`repro.analysis.escape`).
 
 Rule ID blocks:
 
-* ``WIT00x`` — escape-path reachability (Table 1 attacks, static walk)
+* ``WIT00x`` — escape-path reachability (Table 1 attacks, the gate walk
+  of the model checker's escape actions)
 * ``WIT01x`` — over-privilege (shadowed shares, moot allowlists, broker
   grants wider than the spec needs)
 * ``WIT02x`` — dead / shadowed ITFS rules
@@ -21,7 +22,9 @@ from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.analysis.findings import Finding, RuleInfo, Severity
 from repro.analysis.model import (
+    TCB_SURFACE_PREFIXES,
     LintTarget,
+    network_mode,
     template_covers,
     templates_overlap,
 )
@@ -139,8 +142,9 @@ class BrokerTcbGrantChecker(Checker):
         policy = target.broker_policy
         if policy is None or not policy.allow_tcb_update:
             return
-        model = target.model()
-        if not model.tcb_surface:
+        if not any(templates_overlap(share, prefix)
+                   for share in target.spec.fs_shares
+                   for prefix in TCB_SURFACE_PREFIXES):
             yield self._finding(
                 target, "broker_policy.allow_tcb_update",
                 "allow_tcb_update granted but the spec exposes no TCB path",
@@ -161,7 +165,7 @@ class BrokerNetworkWildcardChecker(Checker):
         policy = target.broker_policy
         if policy is None or "*" not in policy.network_destinations:
             return
-        if target.model().network_mode == "isolated":
+        if network_mode(target.spec) == "isolated":
             yield self._finding(
                 target, "broker_policy.network_destinations",
                 "wildcard '*' network grants on a class whose spec allows "
@@ -325,7 +329,7 @@ class UnmonitoredNetworkChecker(Checker):
                 target, "spec.monitor_network",
                 "network reachability granted with the network monitor "
                 "disabled",
-                evidence={"network_mode": target.model().network_mode})
+                evidence={"network_mode": network_mode(target.spec)})
 
 
 @register

@@ -1,13 +1,15 @@
 """Escape-path reachability checkers (rules WIT001-WIT005).
 
 Each rule corresponds to one escape route of paper Table 1 (plus the IPC
-shm surface). The severity scale encodes how much of the defense-in-depth
-stack survives statically:
+shm surface) and reads the gate walk of the model checker's escape action
+(:func:`~repro.analysis.modelcheck.actions.escape_actions`) from the
+target's initial state. The severity scale encodes how much of the
+defense-in-depth stack survives statically:
 
 * no finding — an isolation layer (namespace or path) blocks the route;
-* ``warning`` — the route reaches its final capability gate (the
-  namespace perforations removed the isolation layers, containment now
-  rests solely on the dropped capability);
+* ``warning`` — only capability gates block (the namespace perforations
+  removed the isolation layers, containment now rests solely on the
+  dropped capability);
 * ``error`` — no gate blocks at all: the attack would succeed.
 """
 
@@ -17,68 +19,72 @@ from typing import Iterator
 
 from repro.analysis.checkers import Checker, register
 from repro.analysis.findings import Finding, RuleInfo, Severity
-from repro.analysis.model import EscapePath, LintTarget
+from repro.analysis.model import LintTarget
+from repro.analysis.modelcheck.actions import (
+    ChrootAction,
+    EscapeAction,
+    MknodAction,
+    OpenDevMemAction,
+    PtraceAction,
+    ShmRendezvousAction,
+    blocked_by_isolation,
+    residual_defense,
+)
+from repro.analysis.modelcheck.state import initial_state
 
 
 class EscapeChecker(Checker):
-    """Shared logic: lint one escape path against the privilege model."""
+    """Shared logic: lint one escape action's gates from the initial state."""
 
-    #: set by subclasses
-    escape_key = ""
+    #: set by subclasses: the route's escape action and where a finding
+    #: points in the configuration
+    action: EscapeAction
+    location: str
 
-    def _lint_path(self, target: LintTarget, path: EscapePath
-                   ) -> Iterator[Finding]:
-        rule = self.rules[0]
+    def check(self, target: LintTarget) -> Iterator[Finding]:
+        action = self.action
+        gates = action.gates(initial_state(target))
+        past_isolation = not blocked_by_isolation(gates)
+        residual = residual_defense(gates)
         evidence = {
-            "attack_id": path.attack_id,
+            "attack_id": action.attack_id,
             "gates": [{"name": g.name, "layer": g.layer,
-                       "blocked": g.blocked} for g in path.gates],
-            "reachable_past_isolation": path.reachable_past_isolation,
+                       "blocked": g.blocked} for g in gates],
+            "reachable_past_isolation": past_isolation,
         }
-        if path.fully_reachable:
-            yield Finding(
-                rule_id=rule.rule_id, severity=Severity.ERROR,
-                subject=target.name, location=self.location(target, path),
-                message=f"{path.name}: statically reachable — no namespace, "
-                        f"path or capability gate blocks this escape",
-                evidence=evidence)
-        elif path.reachable_past_isolation and len(path.gates) > 1:
+        if not residual:
+            yield self._finding(
+                target, self.location,
+                f"{action.route_name}: statically reachable — no namespace, "
+                f"path or capability gate blocks this escape",
+                evidence=evidence, severity=Severity.ERROR)
+        elif past_isolation and len(gates) > 1:
             # single-gate routes (chroot/mknod) are capability-gated by
             # design for every spec; flagging them would tag the entire
             # catalog. Multi-gate routes losing all isolation layers is a
             # real reduction the spec opted into — surface it.
-            yield Finding(
-                rule_id=rule.rule_id, severity=Severity.WARNING,
-                subject=target.name, location=self.location(target, path),
-                message=f"{path.name}: perforations remove every isolation "
-                        f"layer; containment rests solely on "
-                        f"{path.residual_defense}",
-                evidence=evidence)
-
-    def location(self, target: LintTarget, path: EscapePath) -> str:
-        return "spec"
-
-    def check(self, target: LintTarget) -> Iterator[Finding]:
-        model = target.model()
-        yield from self._lint_path(target, model.escape_path(self.escape_key))
+            yield self._finding(
+                target, self.location,
+                f"{action.route_name}: perforations remove every isolation "
+                f"layer; containment rests solely on {residual}",
+                evidence=evidence, severity=Severity.WARNING)
 
 
 @register
 class ChrootEscapeChecker(EscapeChecker):
-    escape_key = "chroot"
+    action = ChrootAction()
+    location = "capabilities.CAP_SYS_CHROOT"
     rules = (RuleInfo(
         "WIT001", "chroot escape reachable", Severity.ERROR,
         "The double-chroot escape (Table 1, attack 1) is capability-gated "
         "only; if the configured capability set retains CAP_SYS_CHROOT the "
         "escape is statically reachable."),)
 
-    def location(self, target: LintTarget, path: EscapePath) -> str:
-        return "capabilities.CAP_SYS_CHROOT"
-
 
 @register
 class PtraceEscapeChecker(EscapeChecker):
-    escape_key = "ptrace"
+    action = PtraceAction()
+    location = "spec.process_management"
     rules = (RuleInfo(
         "WIT002", "ptrace bind-shell path reaches the capability gate",
         Severity.WARNING,
@@ -86,25 +92,21 @@ class PtraceEscapeChecker(EscapeChecker):
         "processes are visible (Table 1, attack 2); only the dropped "
         "CAP_SYS_PTRACE still blocks turning one into a bind shell."),)
 
-    def location(self, target: LintTarget, path: EscapePath) -> str:
-        return "spec.process_management"
-
 
 @register
 class MknodEscapeChecker(EscapeChecker):
-    escape_key = "mknod"
+    action = MknodAction()
+    location = "capabilities.CAP_MKNOD"
     rules = (RuleInfo(
         "WIT003", "raw-disk mknod escape reachable", Severity.ERROR,
         "Creating a raw block device (Table 1, attack 3) is gated only on "
         "CAP_MKNOD; a capability set retaining it re-opens the escape."),)
 
-    def location(self, target: LintTarget, path: EscapePath) -> str:
-        return "capabilities.CAP_MKNOD"
-
 
 @register
 class DevMemEscapeChecker(EscapeChecker):
-    escape_key = "devmem"
+    action = OpenDevMemAction()
+    location = "spec.fs_shares"
     rules = (RuleInfo(
         "WIT004", "/dev/mem memory tap reaches the capability gate",
         Severity.WARNING,
@@ -112,19 +114,14 @@ class DevMemEscapeChecker(EscapeChecker):
         "attack 4); only the paper's new CAP_DEV_MEM capability still "
         "blocks scraping kernel memory."),)
 
-    def location(self, target: LintTarget, path: EscapePath) -> str:
-        return "spec.fs_shares"
-
 
 @register
 class IpcEscapeChecker(EscapeChecker):
-    escape_key = "ipc"
+    action = ShmRendezvousAction()
+    location = "spec.share_ipc"
     rules = (RuleInfo(
         "WIT005", "shared IPC namespace opens an unguarded shm channel",
         Severity.ERROR,
         "share_ipc perforates the IPC namespace; SysV shm carries no "
         "capability gate in the syscall layer, so a contained process can "
         "rendezvous with any host process through shared segments."),)
-
-    def location(self, target: LintTarget, path: EscapePath) -> str:
-        return "spec.share_ipc"

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.analysis.crosscheck import CrossCheckReport, run_crosscheck
 from repro.analysis.findings import Finding, LintReport
 from repro.analysis.mining.recorder import TraceRecorder
 from repro.analysis.mining.rules import diff_class, mining_rule_catalog
@@ -35,6 +34,7 @@ from repro.analysis.mining.synthesize import (
 )
 from repro.analysis.model import LintTarget
 from repro.analysis.modelcheck.engine import DEFAULT_DEPTH, check_target
+from repro.analysis.modelcheck.replay import CrossCheckReport, run_crosscheck
 from repro.analysis.modelcheck.runner import (
     FIXTURE_CLASS,
     catalog_targets,

@@ -1,28 +1,24 @@
-"""The effective-privilege model behind the static perforation linter.
+"""Lint targets and the path-template algebra the analyzers share.
 
-Given a ``(spec, itfs_policy, broker_policy)`` triple — and optionally a
-non-default capability set — :class:`PrivilegeModel` computes, *without
-deploying a container*, what the contained superuser can reach: which
-namespace holes are open, which host subtrees are visible, which network
-mode applies, and which Table 1 escape paths survive which enforcement
-gates. The gates mirror exactly what ``repro.kernel.syscalls`` enforces at
-runtime (capability checks for ``chroot``/``ptrace``/``mknod``/``/dev/mem``,
-PID-namespace visibility for ``ptrace``, IPC-namespace scoping for shm),
-so a static verdict of "blocked" means the corresponding syscall *cannot*
-succeed under this configuration.
+A :class:`LintTarget` is one ``(spec, itfs_policy, broker_policy)``
+triple, optionally with a non-default capability set. The kernel gates
+themselves are stated once, on the model checker's escape actions
+(:mod:`repro.analysis.modelcheck.actions`); this module holds what every
+analyzer needs around them: ``{user}``-aware path matching
+(:func:`template_covers`, :func:`templates_overlap`), the TCB subtrees,
+and the spec's network mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from repro.broker.policy import ClassEscalationPolicy
 from repro.containit.container import build_itfs_policy
 from repro.containit.spec import PerforatedContainerSpec
 from repro.itfs.policy import PolicyManager
-from repro.kernel.capabilities import Capability, container_capability_set
-from repro.kernel.namespaces import NamespaceKind
+from repro.kernel.capabilities import Capability
 
 #: ``{user}`` in share templates — a single-segment wildcard for matching.
 USER_TEMPLATE = "{user}"
@@ -56,54 +52,6 @@ def templates_overlap(a: str, b: str) -> bool:
     return template_covers(a, b) or template_covers(b, a)
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One enforcement layer along an escape path.
-
-    ``layer`` is ``"namespace"``, ``"path"`` or ``"capability"``; the first
-    two are *isolation* layers (what the cross-check harness compares with
-    the dynamic Table 1 defenses), the last is the capability bounding set.
-    """
-
-    name: str
-    layer: str
-    blocked: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class EscapePath:
-    """A Table 1 escape route and the static verdict on each of its gates."""
-
-    attack_id: int
-    key: str
-    name: str
-    gates: Tuple[Gate, ...]
-
-    @property
-    def blocked_by_isolation(self) -> bool:
-        """A namespace/path gate blocks the route before any capability."""
-        return any(g.blocked for g in self.gates if g.layer != "capability")
-
-    @property
-    def reachable_past_isolation(self) -> bool:
-        """The route reaches its last (capability) gate — or has none."""
-        return not self.blocked_by_isolation
-
-    @property
-    def fully_reachable(self) -> bool:
-        """No gate blocks: the attack would *succeed* if attempted."""
-        return not any(g.blocked for g in self.gates)
-
-    @property
-    def residual_defense(self) -> str:
-        """Name of the first gate still blocking (empty if none)."""
-        for gate in self.gates:
-            if gate.blocked:
-                return gate.name
-        return ""
-
-
 @dataclass
 class LintTarget:
     """One unit of lint work: a spec plus its surrounding policies.
@@ -129,125 +77,11 @@ class LintTarget:
             return self.itfs_policy
         return build_itfs_policy(self.spec)
 
-    def model(self) -> "PrivilegeModel":
-        return PrivilegeModel(self.spec, capabilities=self.capabilities)
 
-
-class PrivilegeModel:
-    """Static effective-privilege computation for one spec."""
-
-    def __init__(self, spec: PerforatedContainerSpec,
-                 capabilities: Optional[FrozenSet[Capability]] = None):
-        self.spec = spec
-        self.capabilities: FrozenSet[Capability] = (
-            capabilities if capabilities is not None
-            else container_capability_set())
-        self.holes: FrozenSet[NamespaceKind] = spec.holes()
-        #: shares with the ``{user}`` template preserved as a wildcard.
-        self.shares: Tuple[str, ...] = spec.fs_shares
-        self.full_root: bool = spec.shares_full_root
-
-    # -- capability / namespace queries ---------------------------------
-
-    def has_cap(self, cap: Capability) -> bool:
-        return cap in self.capabilities
-
-    def shares_namespace(self, kind: NamespaceKind) -> bool:
-        return kind in self.holes
-
-    # -- filesystem visibility ------------------------------------------
-
-    def path_visible(self, host_path: str) -> bool:
-        """Can the container see ``host_path`` on the *host* filesystem?"""
-        if self.full_root:
-            return True
-        return any(template_covers(share, host_path) for share in self.shares)
-
-    def subtree_reachable(self, prefix: str) -> bool:
-        """Can any host path under ``prefix`` appear in the container view?"""
-        if self.full_root:
-            return True
-        return any(templates_overlap(share, prefix) for share in self.shares)
-
-    @property
-    def tcb_surface(self) -> Tuple[str, ...]:
-        """TCB subtrees this spec exposes (empty = no static TCB surface)."""
-        return tuple(p for p in TCB_SURFACE_PREFIXES
-                     if self.subtree_reachable(p))
-
-    # -- network --------------------------------------------------------
-
-    @property
-    def network_mode(self) -> str:
-        """``host`` (NET ns shared), ``firewalled`` or ``isolated``."""
-        if self.spec.share_network_ns:
-            return "host"
-        if self.spec.network_allowed:
-            return "firewalled"
-        return "isolated"
-
-    # -- escape-path reachability (Table 1 attacks 1-4 + IPC) -----------
-
-    def escape_paths(self) -> Tuple[EscapePath, ...]:
-        """The symbolic walk of every modeled escape route's gates."""
-        chroot = EscapePath(
-            attack_id=1, key="chroot",
-            name="Escape perforated container boundaries (double chroot)",
-            gates=(
-                Gate("CAP_SYS_CHROOT dropped", "capability",
-                     blocked=not self.has_cap(Capability.CAP_SYS_CHROOT),
-                     detail="kernel.syscalls.chroot requires CAP_SYS_CHROOT"),
-            ))
-        ptrace = EscapePath(
-            attack_id=2, key="ptrace",
-            name="Bind shell via ptrace of a host process",
-            gates=(
-                Gate("PID namespace isolation", "namespace",
-                     blocked=not self.shares_namespace(NamespaceKind.PID),
-                     detail="host processes invisible unless the spec grants "
-                            "process_management (shared PID namespace)"),
-                Gate("CAP_SYS_PTRACE dropped", "capability",
-                     blocked=not self.has_cap(Capability.CAP_SYS_PTRACE),
-                     detail="kernel.syscalls.ptrace_attach requires "
-                            "CAP_SYS_PTRACE"),
-            ))
-        mknod = EscapePath(
-            attack_id=3, key="mknod",
-            name="Raw disk mounting via mknod",
-            gates=(
-                Gate("CAP_MKNOD dropped", "capability",
-                     blocked=not self.has_cap(Capability.CAP_MKNOD),
-                     detail="kernel.syscalls.mknod requires CAP_MKNOD"),
-            ))
-        devmem = EscapePath(
-            attack_id=4, key="devmem",
-            name="Memory tapping via /dev/mem",
-            gates=(
-                Gate("filesystem isolation", "path",
-                     blocked=not self.path_visible(DEV_MEM_PATH),
-                     detail=f"{DEV_MEM_PATH} lies outside every fs share"),
-                Gate("CAP_DEV_MEM dropped", "capability",
-                     blocked=not self.has_cap(Capability.CAP_DEV_MEM),
-                     detail="opening /dev/mem and /dev/kmem requires the "
-                            "paper's new CAP_DEV_MEM capability"),
-            ))
-        # shmget carries no capability gate in the syscall layer: the IPC
-        # namespace is the *only* line of defense for shm rendezvous.
-        # (attack_id 0: not a Table 1 row — an extra escape surface the
-        # cross-check harness probes dynamically itself.)
-        ipc = EscapePath(
-            attack_id=0, key="ipc",
-            name="Rendezvous with host processes via SysV shared memory",
-            gates=(
-                Gate("IPC namespace isolation", "namespace",
-                     blocked=not self.shares_namespace(NamespaceKind.IPC),
-                     detail="shm segments are scoped to the IPC namespace; "
-                            "no capability check applies"),
-            ))
-        return (chroot, ptrace, mknod, devmem, ipc)
-
-    def escape_path(self, key: str) -> EscapePath:
-        for path in self.escape_paths():
-            if path.key == key:
-                return path
-        raise KeyError(key)
+def network_mode(spec: PerforatedContainerSpec) -> str:
+    """``host`` (NET ns shared), ``firewalled`` or ``isolated``."""
+    if spec.share_network_ns:
+        return "host"
+    if spec.network_allowed:
+        return "firewalled"
+    return "isolated"

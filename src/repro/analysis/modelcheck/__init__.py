@@ -1,22 +1,27 @@
 """Escape-chain model checker: bounded reachability over privilege states.
 
-The WIT00x linter walks each Table 1 route as a single gate chain against
-the static spec; this package closes its blind spot — multi-step chains
+This package holds the repo's one privilege model. An abstract
+interpreter (:mod:`state`, :mod:`actions`) mirrors the gates
+:mod:`repro.kernel.syscalls` and :mod:`repro.broker.policy` enforce; the
+five single-route escape actions state their kernel gates as named
+:class:`~repro.analysis.modelcheck.actions.Gate` s, which the WIT001–005
+linter rules read from a target's initial state (the one-step question).
+A bounded BFS (:mod:`engine`) answers the multi-step question — chains
 where a broker grant, a mount, or a namespace join changes the privilege
-state mid-attack. An abstract interpreter (:mod:`state`, :mod:`actions`)
-mirrors the gates :mod:`repro.kernel.syscalls` and
-:mod:`repro.broker.policy` enforce; a bounded BFS (:mod:`engine`)
-classifies escape predicates as unreachable / reachable /
-reachable-but-audited with minimal counterexample witnesses; a replay
-harness (:mod:`replay`) executes every verdict against the real simulated
-kernel + ITFS + broker; and :mod:`runner` packages it all behind
-``repro verify-model``.
+state mid-attack — classifying escape predicates as unreachable /
+reachable / reachable-but-audited with minimal counterexample witnesses.
+:mod:`replay` validates both against the real simulated kernel + ITFS +
+broker: the layer cross-check compares each escape action's gate walk
+with its live Table 1 attack, and the witness replay executes every
+verdict. :mod:`runner` packages it all behind ``repro verify-model``.
 """
 
 from repro.analysis.modelcheck.actions import (
     ANY_DESTINATION,
     AbstractAction,
+    Gate,
     action_catalog,
+    escape_actions,
 )
 from repro.analysis.modelcheck.engine import (
     DEFAULT_DEPTH,
@@ -51,6 +56,7 @@ __all__ = [
     "AbstractAction",
     "DEFAULT_DEPTH",
     "FIXTURE_CLASS",
+    "Gate",
     "MODELCHECK_RULES",
     "ModelCheckResult",
     "PREDICATES",
@@ -65,6 +71,7 @@ __all__ = [
     "action_catalog",
     "catalog_targets",
     "check_target",
+    "escape_actions",
     "escape_predicates",
     "initial_state",
     "modelcheck_rule_catalog",

@@ -4,11 +4,18 @@ Each :class:`AbstractAction` mirrors one gate-checked operation of the
 runtime — the guard (:meth:`AbstractAction.enabled`) restates exactly the
 checks :mod:`repro.kernel.syscalls` and :mod:`repro.broker.policy`
 enforce, and the successor (:meth:`AbstractAction.apply`) records what
-the operation yields in abstract-privilege terms. The witness-replay
-harness (:mod:`repro.analysis.modelcheck.replay`) executes the same
-actions against the real simulated kernel + ITFS + broker, keyed by
-:attr:`AbstractAction.name`, so any drift between this catalog and the
-runtime surfaces as a static/dynamic disagreement.
+the operation yields in abstract-privilege terms.
+
+The five single-route escapes (:func:`escape_actions`) state their guard
+as named :class:`Gate` s — the only statement of those kernel gates in
+the repo. The BFS reads ``enabled`` (no gate blocked); the WIT001–005
+linter rules and the layer cross-check read the gate walk itself from a
+target's initial state, which also says *which* layer still blocks.
+
+The witness-replay harness (:mod:`repro.analysis.modelcheck.replay`)
+executes the same actions against the real simulated kernel + ITFS +
+broker, keyed by :attr:`AbstractAction.name`, so any drift between this
+catalog and the runtime surfaces as a static/dynamic disagreement.
 
 Two modeling notes:
 
@@ -27,8 +34,7 @@ Two modeling notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from repro.analysis.model import DEV_MEM_PATH, LintTarget, template_covers
 from repro.analysis.modelcheck.state import PrivState, initial_state
@@ -43,6 +49,30 @@ from repro.tcb.integrity import WATCHIT_COMPONENT_ROOT
 ANY_DESTINATION = "any-destination"
 
 
+class Gate(NamedTuple):
+    """One kernel gate an escape action must pass, evaluated in a state.
+
+    ``layer`` is ``"namespace"``, ``"path"`` or ``"capability"``; the first
+    two are *isolation* layers (what the cross-check compares with the
+    dynamic Table 1 defenses), the last is the capability bounding set.
+    """
+
+    name: str
+    layer: str
+    blocked: bool
+    detail: str = ""
+
+
+def blocked_by_isolation(gates: Iterable[Gate]) -> bool:
+    """A namespace/path gate blocks the route before any capability."""
+    return any(g.blocked for g in gates if g.layer != "capability")
+
+
+def residual_defense(gates: Iterable[Gate]) -> str:
+    """Name of the first gate still blocking (empty if none)."""
+    return next((g.name for g in gates if g.blocked), "")
+
+
 class AbstractAction:
     """One abstract transition; subclasses state the guard and effect."""
 
@@ -53,8 +83,12 @@ class AbstractAction:
     #: parameter (share path, destination label) — empty if none.
     param: str = ""
 
+    def gates(self, state: PrivState) -> Tuple[Gate, ...]:
+        """The kernel gates this action must pass from ``state``."""
+        return ()
+
     def enabled(self, state: PrivState) -> bool:
-        raise NotImplementedError
+        return not any(g.blocked for g in self.gates(state))
 
     def apply(self, state: PrivState) -> PrivState:
         raise NotImplementedError
@@ -75,27 +109,58 @@ class AbstractAction:
 # syscall-layer actions (guards mirror repro.kernel.syscalls)
 # ----------------------------------------------------------------------
 
-class ChrootAction(AbstractAction):
+class EscapeAction(AbstractAction):
+    """A single-route escape: one syscall behind its kernel gates.
+
+    ``route`` keys the route in WIT001–005 findings and the layer
+    cross-check; ``attack_id`` is its Table 1 row (0 for the shm
+    surface, which Table 1 does not list).
+    """
+
+    route: str = ""
+    attack_id: int = 0
+    route_name: str = ""
+
+
+class ChrootAction(EscapeAction):
     name = "syscall:chroot"
     description = ("double-chroot escape: pivot the root outside the "
                    "container view (kernel gate: CAP_SYS_CHROOT)")
+    route = "chroot"
+    attack_id = 1
+    route_name = "Escape perforated container boundaries (double chroot)"
 
-    def enabled(self, state: PrivState) -> bool:
-        return state.has_cap(Capability.CAP_SYS_CHROOT)
+    def gates(self, state: PrivState) -> Tuple[Gate, ...]:
+        return (
+            Gate("CAP_SYS_CHROOT dropped", "capability",
+                 blocked=not state.has_cap(Capability.CAP_SYS_CHROOT),
+                 detail="kernel.syscalls.chroot requires CAP_SYS_CHROOT"),
+        )
 
     def apply(self, state: PrivState) -> PrivState:
         return state.widen(raw_host_fs=True)
 
 
-class PtraceAction(AbstractAction):
+class PtraceAction(EscapeAction):
     name = "syscall:ptrace-host"
     description = ("attach to a host process and turn it into a bind "
                    "shell (kernel gates: PID-namespace visibility + "
                    "CAP_SYS_PTRACE)")
+    route = "ptrace"
+    attack_id = 2
+    route_name = "Bind shell via ptrace of a host process"
 
-    def enabled(self, state: PrivState) -> bool:
-        return (state.shares(NamespaceKind.PID)
-                and state.has_cap(Capability.CAP_SYS_PTRACE))
+    def gates(self, state: PrivState) -> Tuple[Gate, ...]:
+        return (
+            Gate("PID namespace isolation", "namespace",
+                 blocked=not state.shares(NamespaceKind.PID),
+                 detail="host processes invisible unless the spec grants "
+                        "process_management (shared PID namespace)"),
+            Gate("CAP_SYS_PTRACE dropped", "capability",
+                 blocked=not state.has_cap(Capability.CAP_SYS_PTRACE),
+                 detail="kernel.syscalls.ptrace_attach requires "
+                        "CAP_SYS_PTRACE"),
+        )
 
     def apply(self, state: PrivState) -> PrivState:
         # full control of an unconfined host process carries its
@@ -103,27 +168,47 @@ class PtraceAction(AbstractAction):
         return state.widen(host_exec=True, raw_host_fs=True)
 
 
-class MknodAction(AbstractAction):
+class MknodAction(EscapeAction):
     name = "syscall:mknod-raw-disk"
     description = ("create a raw-disk device node and read the backing "
                    "store (kernel gate: CAP_MKNOD)")
+    route = "mknod"
+    attack_id = 3
+    route_name = "Raw disk mounting via mknod"
 
-    def enabled(self, state: PrivState) -> bool:
-        return state.has_cap(Capability.CAP_MKNOD)
+    def gates(self, state: PrivState) -> Tuple[Gate, ...]:
+        return (
+            Gate("CAP_MKNOD dropped", "capability",
+                 blocked=not state.has_cap(Capability.CAP_MKNOD),
+                 detail="kernel.syscalls.mknod requires CAP_MKNOD"),
+        )
 
     def apply(self, state: PrivState) -> PrivState:
         return state.widen(raw_host_fs=True)
 
 
-class OpenDevMemAction(AbstractAction):
+class OpenDevMemAction(EscapeAction):
     name = "syscall:open-devmem"
     description = ("open /dev/mem (kernel gates: the node must be in the "
                    "ITFS view + CAP_DEV_MEM)")
+    route = "devmem"
+    attack_id = 4
+    route_name = "Memory tapping via /dev/mem"
+
+    def gates(self, state: PrivState) -> Tuple[Gate, ...]:
+        return (
+            Gate("filesystem isolation", "path",
+                 blocked=not state.devmem_visible,
+                 detail=f"{DEV_MEM_PATH} lies outside every fs share"),
+            Gate("CAP_DEV_MEM dropped", "capability",
+                 blocked=not state.has_cap(Capability.CAP_DEV_MEM),
+                 detail="opening /dev/mem and /dev/kmem requires the "
+                        "paper's new CAP_DEV_MEM capability"),
+        )
 
     def enabled(self, state: PrivState) -> bool:
-        return (state.devmem_visible
-                and state.has_cap(Capability.CAP_DEV_MEM)
-                and not state.devmem_open)
+        # an fd already open is a facet of the state, not a kernel gate
+        return not state.devmem_open and super().enabled(state)
 
     def apply(self, state: PrivState) -> PrivState:
         return state.widen(devmem_open=True)
@@ -141,13 +226,22 @@ class ReadDevMemAction(AbstractAction):
         return state.widen(kernel_memory=True)
 
 
-class ShmRendezvousAction(AbstractAction):
+class ShmRendezvousAction(EscapeAction):
     name = "syscall:shmget-host"
     description = ("map a host SysV shm segment (kernel gate: IPC "
                    "namespace scoping only — no capability check)")
+    route = "ipc"
+    route_name = "Rendezvous with host processes via SysV shared memory"
 
-    def enabled(self, state: PrivState) -> bool:
-        return state.shares(NamespaceKind.IPC)
+    def gates(self, state: PrivState) -> Tuple[Gate, ...]:
+        # shmget carries no capability gate in the syscall layer: the IPC
+        # namespace is the only line of defense for shm rendezvous
+        return (
+            Gate("IPC namespace isolation", "namespace",
+                 blocked=not state.shares(NamespaceKind.IPC),
+                 detail="shm segments are scoped to the IPC namespace; "
+                        "no capability check applies"),
+        )
 
     def apply(self, state: PrivState) -> PrivState:
         return state.widen(host_ipc=True)
@@ -343,6 +437,12 @@ def _network_candidates(policy: Optional[ClassEscalationPolicy]
     return tuple(dests)
 
 
+def escape_actions() -> Tuple[EscapeAction, ...]:
+    """The five single-route escapes, in WIT001–005 / cross-check order."""
+    return (ChrootAction(), PtraceAction(), MknodAction(),
+            OpenDevMemAction(), ShmRendezvousAction())
+
+
 def action_catalog(target: LintTarget) -> Tuple[AbstractAction, ...]:
     """Every abstract action applicable to ``target``'s configuration."""
     actions: list[AbstractAction] = [
@@ -371,6 +471,8 @@ __all__ = [
     "BrokerGrantNetworkAction",
     "BrokerSharePathAction",
     "ChrootAction",
+    "EscapeAction",
+    "Gate",
     "ItfsWriteAction",
     "MknodAction",
     "OpenDevMemAction",
@@ -380,4 +482,7 @@ __all__ = [
     "ShmRendezvousAction",
     "UmountShareAction",
     "action_catalog",
+    "blocked_by_isolation",
+    "escape_actions",
+    "residual_defense",
 ]

@@ -1,17 +1,34 @@
-"""Witness replay: execute model-checker counterexamples for real.
+"""Live-rig validation of the privilege model: layer cross-check + replay.
 
-The same discipline as :mod:`repro.analysis.crosscheck`, one level up:
-for every verdict the bounded model checker produces, this harness stands
-up a live rig (simulated kernel + ITFS + broker, via
-:meth:`~repro.threats.attacks.ThreatRig.build`) matching the lint target
-— same spec, same capability set, same broker class policy — and checks
-the *dynamic* truth of the *static* claim:
+Both harnesses stand up a live rig (simulated kernel + ITFS + broker, via
+:meth:`~repro.threats.attacks.ThreatRig.build`) and check a static claim
+of the model checker against the runtime.
+
+**Layer cross-check** (:func:`run_crosscheck`, ``repro lint
+--crosscheck``). For every spec, the gate walk of each escape action
+(:func:`~repro.analysis.modelcheck.actions.escape_actions`) from the
+spec's initial state is compared with the Table 1 attack actually run
+against a container deployed with that spec:
+
+* the walk is **blocked by isolation** (a namespace/path gate) ⇔ the
+  dynamic attack must be stopped by exactly that isolation layer (the
+  dynamic defense names the gate, e.g. "PID namespace isolation");
+* the walk **reaches the capability gate** ⇔ the dynamic attack must be
+  stopped by the capability check, not by isolation.
+
+The harness is spec-agnostic: the policy miner reuses it over *mined*
+specs (``repro mine --crosscheck``).
+
+**Witness replay** (:func:`replay_target`, ``repro verify-model``). The
+rig matches the lint target — same spec, same capability set, same
+broker class policy — and every verdict of the bounded model checker is
+checked against it:
 
 * a **reachable** verdict's minimal witness is executed step by step;
   every step must succeed against the real gates;
 * an **unreachable** verdict on an escape predicate is probed with the
-  corresponding Table 1 attacks (and a setns attempt); every probe must
-  be blocked.
+  corresponding Table 1 attacks (the cross-check's own runners, and a
+  setns attempt); every probe must be blocked.
 
 Probes run first, against the pristine rig; witness replays follow, since
 broker grants and umounts mutate the container. Any mismatch is a
@@ -25,26 +42,78 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.analysis.crosscheck import DYNAMIC_ATTACKS
 from repro.analysis.model import DEV_MEM_PATH, LintTarget, USER_TEMPLATE
-from repro.analysis.modelcheck.actions import ANY_DESTINATION
+from repro.analysis.modelcheck.actions import (
+    ANY_DESTINATION,
+    blocked_by_isolation,
+    escape_actions,
+    residual_defense,
+)
 from repro.analysis.modelcheck.engine import (
     ModelCheckResult,
     Reachability,
     Step,
 )
+from repro.analysis.modelcheck.state import initial_state
 from repro.broker.policy import BrokerPolicy
-from repro.errors import ReproError
+from repro.containit.spec import PerforatedContainerSpec
+from repro.errors import FileNotFound, ReproError
+from repro.framework.images import TABLE3_SPECS
 from repro.kernel import FileType, NamespaceKind
 from repro.kernel.devices import DEV_SDA
-from repro.threats.attacks import ThreatRig
+from repro.threats.attacks import (
+    AttackResult,
+    ThreatRig,
+    attack_1_chroot_escape,
+    attack_2_bind_shell,
+    attack_3_raw_disk,
+    attack_4_memory_tap,
+)
 
 #: literal destination a replayed wildcard network grant asks for.
 PROBE_DESTINATION = "203.0.113.9"
 #: marker file a replayed ITFS write creates inside a shared subtree.
 WITNESS_MARKER = ".watchit-model-witness"
 
-#: escape predicate -> crosscheck attack keys probing its unreachability.
+_SHM_PROBE_KEY = 0x51DE
+
+
+def _dynamic_attack_4(rig: ThreatRig) -> AttackResult:
+    """Attack 4, tolerant of specs whose view has no /dev/mem at all."""
+    try:
+        return attack_4_memory_tap(rig)
+    except FileNotFound:
+        return AttackResult(4, "Memory tapping", blocked=True,
+                            defense="filesystem isolation",
+                            evidence="/dev/mem not visible in container view")
+
+
+def _dynamic_ipc_probe(rig: ThreatRig) -> AttackResult:
+    """Plant a host shm segment; check whether the shell can see it."""
+    rig.host.sys.shmget(rig.host.init, key=_SHM_PROBE_KEY, size=64,
+                        create=True)
+    visible = any(seg.key == _SHM_PROBE_KEY
+                  for seg in rig.host.sys.shm_list(rig.shell.proc))
+    if visible:
+        return AttackResult(0, "Host shm rendezvous", blocked=False,
+                            defense="none (shared IPC namespace)",
+                            evidence="host shm segment visible from "
+                                     "container")
+    return AttackResult(0, "Host shm rendezvous", blocked=True,
+                        defense="IPC namespace isolation",
+                        evidence="host shm segment invisible from container")
+
+
+#: escape route -> dynamic attack runner.
+DYNAMIC_ATTACKS: Dict[str, Callable[[ThreatRig], AttackResult]] = {
+    "chroot": attack_1_chroot_escape,
+    "ptrace": attack_2_bind_shell,
+    "mknod": attack_3_raw_disk,
+    "devmem": _dynamic_attack_4,
+    "ipc": _dynamic_ipc_probe,
+}
+
+#: escape predicate -> escape routes probing its unreachability.
 _UNREACHABLE_PROBES: Dict[str, Tuple[str, ...]] = {
     "host-fs-raw": ("chroot", "mknod"),
     "host-exec": ("ptrace",),
@@ -129,14 +198,10 @@ def _run_read_devmem(session: _ReplaySession, step: Step) -> str:
 
 
 def _run_shm(session: _ReplaySession, step: Step) -> str:
-    rig = session.rig
-    seg = rig.host.sys.shmget(rig.host.init, key=0x4D43, size=64,
-                              create=True)
-    visible = any(s.key == seg.key
-                  for s in rig.host.sys.shm_list(rig.shell.proc))
-    if not visible:
-        raise ReproError("host shm segment invisible from container")
-    return "host shm segment visible from container"
+    result = _dynamic_ipc_probe(session.rig)
+    if result.blocked:
+        raise ReproError(result.evidence)
+    return result.evidence
 
 
 def _run_setns(session: _ReplaySession, step: Step) -> str:
@@ -302,9 +367,121 @@ def replay_target(target: LintTarget,
     return rows
 
 
+# ----------------------------------------------------------------------
+# layer cross-check: escape-action gate walks vs the Table 1 attacks
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CrossCheckRow:
+    """One (ticket class, escape route) comparison."""
+
+    ticket_class: str
+    escape_key: str
+    attack_id: int
+    static_reachable_past_isolation: bool
+    static_residual_defense: str
+    dynamic_blocked: bool
+    dynamic_defense: str
+    dynamic_blocked_by_isolation: bool
+
+    @property
+    def consistent(self) -> bool:
+        """Static and dynamic agree on *which layer* stops the attack."""
+        return self.static_reachable_past_isolation == \
+            (not self.dynamic_blocked_by_isolation)
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "class": self.ticket_class,
+            "escape": self.escape_key,
+            "attack_id": self.attack_id,
+            "static_reachable_past_isolation":
+                self.static_reachable_past_isolation,
+            "static_residual_defense": self.static_residual_defense,
+            "dynamic_blocked": self.dynamic_blocked,
+            "dynamic_defense": self.dynamic_defense,
+            "consistent": self.consistent,
+        }
+
+
+@dataclass
+class CrossCheckReport:
+    """All comparisons over a spec catalog."""
+
+    rows: List[CrossCheckRow]
+
+    @property
+    def consistent(self) -> bool:
+        return all(row.consistent for row in self.rows)
+
+    @property
+    def inconsistencies(self) -> List[CrossCheckRow]:
+        return [row for row in self.rows if not row.consistent]
+
+    def rows_for(self, ticket_class: str) -> List[CrossCheckRow]:
+        return [r for r in self.rows if r.ticket_class == ticket_class]
+
+    def format(self) -> str:
+        lines = [f"{'class':<6} {'escape':<8} {'static':<22} "
+                 f"{'dynamic defense':<40} agree"]
+        for row in self.rows:
+            static = ("reaches capability gate"
+                      if row.static_reachable_past_isolation
+                      else "blocked by isolation")
+            lines.append(f"{row.ticket_class:<6} {row.escape_key:<8} "
+                         f"{static:<22} {row.dynamic_defense:<40} "
+                         f"{'yes' if row.consistent else 'NO'}")
+        verdict = "CONSISTENT" if self.consistent else \
+            f"{len(self.inconsistencies)} INCONSISTENT row(s)"
+        lines.append(f"static/dynamic cross-check: {verdict} "
+                     f"({len(self.rows)} comparisons)")
+        return "\n".join(lines)
+
+
+def crosscheck_spec(spec: PerforatedContainerSpec) -> List[CrossCheckRow]:
+    """Compare each escape action's gate walk with its live attack."""
+    state = initial_state(LintTarget(spec=spec))
+    rig = ThreatRig.build(spec)
+    rows: List[CrossCheckRow] = []
+    try:
+        for action in escape_actions():
+            gates = action.gates(state)
+            isolation = {g.name for g in gates if g.layer != "capability"}
+            result = DYNAMIC_ATTACKS[action.route](rig)
+            rows.append(CrossCheckRow(
+                ticket_class=spec.name,
+                escape_key=action.route,
+                attack_id=action.attack_id,
+                static_reachable_past_isolation=not blocked_by_isolation(
+                    gates),
+                static_residual_defense=residual_defense(gates),
+                dynamic_blocked=result.blocked,
+                dynamic_defense=result.defense,
+                dynamic_blocked_by_isolation=(
+                    result.blocked and result.defense in isolation)))
+    finally:
+        rig.container.terminate("cross-check done")
+    return rows
+
+
+def run_crosscheck(specs: Optional[Dict[str, PerforatedContainerSpec]] = None
+                   ) -> CrossCheckReport:
+    """Cross-check a catalog (default: the Table 3 specs)."""
+    specs = TABLE3_SPECS if specs is None else specs
+    rows: List[CrossCheckRow] = []
+    for name in sorted(specs, key=lambda n: (len(n), n)):
+        rows.extend(crosscheck_spec(specs[name]))
+    return CrossCheckReport(rows=rows)
+
+
 __all__ = [
+    "CrossCheckReport",
+    "CrossCheckRow",
+    "DYNAMIC_ATTACKS",
     "PROBE_DESTINATION",
     "WITNESS_MARKER",
     "ReplayRow",
+    "crosscheck_spec",
     "replay_target",
+    "run_crosscheck",
 ]

@@ -690,20 +690,25 @@ class ControlPlane:
         """Route and enqueue ``tickets`` in per-shard chunks; returns one
         future per ticket and how many tickets were accepted. A T-9 target
         on another shard is refused: every shard is its own organization.
+        Every row is routed and validated before the first chunk ships,
+        so an invalid row refuses the whole batch and nothing is served.
         """
+        routed = []
+        for reporter, text, machine, *target in tickets:
+            index = self.router.route_index(machine)
+            target_machine = target[0] if target else None
+            if target_machine is not None and \
+                    self.router.route_index(target_machine) != index:
+                raise InvalidArgument(
+                    f"target machine {target_machine!r} is not on "
+                    f"{machine!r}'s shard {index}")
+            routed.append((index, reporter, text, machine, target_machine))
         self._begin_admission()
         accepted = 0
         futures: List["Future[TicketResult]"] = []
         chunks: Dict[int, _Chunk] = {}
         try:
-            for reporter, text, machine, *target in tickets:
-                index = self.router.route_index(machine)
-                target_machine = target[0] if target else None
-                if target_machine is not None and \
-                        self.router.route_index(target_machine) != index:
-                    raise InvalidArgument(
-                        f"target machine {target_machine!r} is not on "
-                        f"{machine!r}'s shard {index}")
+            for index, reporter, text, machine, target_machine in routed:
                 env = self._envelope(reporter, text, machine, target_machine,
                                      admin, ops, org=org)
                 future: "Future[TicketResult]" = Future()

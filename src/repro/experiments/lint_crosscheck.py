@@ -11,12 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.analysis import (
-    CrossCheckReport,
-    LintReport,
-    lint_catalog,
-    run_crosscheck,
-)
+from repro.analysis import LintReport, lint_catalog
+from repro.analysis.modelcheck.replay import CrossCheckReport, run_crosscheck
 from repro.broker.policy import permissive_policy
 from repro.containit.spec import PerforatedContainerSpec
 

@@ -1,14 +1,16 @@
-"""Static/dynamic consistency: the linter must agree with Table 1.
+"""Static/dynamic consistency: the escape gates must agree with Table 1.
 
-The acceptance property: every escape the linter marks statically
-reachable (past the isolation layers) is exactly the set the dynamic
-attacks find not blocked by namespace/filesystem isolation — for every
-Table 3 class.
+The acceptance property: every escape whose gate walk (the same walk
+WIT001–005 read) reaches past the isolation layers is exactly the set
+the dynamic attacks find not blocked by namespace/filesystem isolation —
+for every Table 3 class.
 """
 
 import pytest
 
-from repro.analysis import PrivilegeModel, crosscheck_spec, run_crosscheck
+from repro.analysis import LintTarget, crosscheck_spec, run_crosscheck
+from repro.analysis.modelcheck import initial_state
+from repro.analysis.modelcheck.actions import ShmRendezvousAction
 from repro.containit import PerforatedContainerSpec
 from repro.framework.images import TABLE3_SPECS
 
@@ -50,6 +52,14 @@ class TestCrossCheck:
         assert verdicts == {"chroot": True, "ptrace": False, "mknod": True,
                             "devmem": False, "ipc": False}
 
+    def test_isolation_rows_name_the_blocking_gate(self, report):
+        # a route blocked by isolation is stopped at runtime by exactly
+        # the gate the static walk names first, not just by some layer
+        for row in report.rows:
+            if not row.static_reachable_past_isolation:
+                assert row.dynamic_defense == row.static_residual_defense, \
+                    row.to_dict()
+
     def test_every_attack_still_blocked_dynamically(self, report):
         # reaching a capability gate is a reduced-depth warning, not a
         # breach: with the shipped capability set everything stays blocked
@@ -62,4 +72,6 @@ class TestShmProbe:
         rows = {r.escape_key: r for r in crosscheck_spec(spec)}
         assert not rows["ipc"].dynamic_blocked
         assert rows["ipc"].consistent
-        assert PrivilegeModel(spec).escape_path("ipc").fully_reachable
+        gates = ShmRendezvousAction().gates(
+            initial_state(LintTarget(spec=spec)))
+        assert not any(g.blocked for g in gates)

@@ -7,12 +7,18 @@ import pytest
 from repro.analysis import (
     LintTarget,
     PerforationLinter,
-    PrivilegeModel,
     Severity,
     lint_catalog,
     rule_catalog,
     template_covers,
     templates_overlap,
+)
+from repro.analysis.model import TCB_SURFACE_PREFIXES, network_mode
+from repro.analysis.modelcheck import escape_actions, initial_state
+from repro.analysis.modelcheck.actions import (
+    PtraceAction,
+    blocked_by_isolation,
+    residual_defense,
 )
 from repro.containit import PerforatedContainerSpec
 from repro.kernel.namespaces import NamespaceKind
@@ -24,11 +30,16 @@ def spec(**kwargs):
 
 
 class TestPrivilegeModel:
+    """The one privilege model: escape-action gates from the initial state."""
+
     def test_full_root_sees_everything(self):
-        model = PrivilegeModel(spec(fs_shares=("/",)))
-        assert model.path_visible("/dev/mem")
-        assert model.subtree_reachable("/opt/watchit")
-        assert model.tcb_surface
+        state = initial_state(LintTarget(spec=spec(fs_shares=("/",))))
+        assert state.path_visible("/dev/mem")
+        assert any(templates_overlap(share, "/opt/watchit")
+                   for share in state.view)
+        assert any(templates_overlap(share, prefix)
+                   for share in state.view
+                   for prefix in TCB_SURFACE_PREFIXES)
 
     def test_template_wildcard_matching(self):
         assert template_covers("/home/{user}", "/home/alice/notes.txt")
@@ -38,24 +49,26 @@ class TestPrivilegeModel:
         assert not templates_overlap("/etc", "/home/{user}")
 
     def test_network_modes(self):
-        assert PrivilegeModel(spec()).network_mode == "isolated"
-        assert PrivilegeModel(spec(share_network_ns=True)).network_mode == "host"
-        assert PrivilegeModel(
-            spec(network_allowed=("license-server",))).network_mode == "firewalled"
+        assert network_mode(spec()) == "isolated"
+        assert network_mode(spec(share_network_ns=True)) == "host"
+        assert network_mode(
+            spec(network_allowed=("license-server",))) == "firewalled"
 
     def test_escape_paths_cover_all_modeled_routes(self):
-        paths = PrivilegeModel(spec()).escape_paths()
-        assert {p.key for p in paths} == \
+        actions = escape_actions()
+        assert {a.route for a in actions} == \
             {"chroot", "ptrace", "mknod", "devmem", "ipc"}
         # Table 1 ids for the four escape attacks; ipc is the extra probe
-        assert {p.attack_id for p in paths} == {0, 1, 2, 3, 4}
+        assert {a.attack_id for a in actions} == {0, 1, 2, 3, 4}
 
     def test_pid_hole_reaches_capability_gate(self):
-        model = PrivilegeModel(spec(process_management=True))
-        assert model.shares_namespace(NamespaceKind.PID)
-        path = model.escape_path("ptrace")
-        assert path.reachable_past_isolation and not path.fully_reachable
-        assert path.residual_defense == "CAP_SYS_PTRACE dropped"
+        state = initial_state(
+            LintTarget(spec=spec(process_management=True)))
+        assert state.shares(NamespaceKind.PID)
+        gates = PtraceAction().gates(state)
+        assert not blocked_by_isolation(gates)
+        assert any(g.blocked for g in gates)
+        assert residual_defense(gates) == "CAP_SYS_PTRACE dropped"
 
 
 class TestReports:

@@ -1,28 +1,35 @@
-"""Gate-walk edges of the effective-privilege model.
+"""Gate-walk edges of the escape actions' kernel gates.
 
 The three configurations the routine catalog never exercises: a chroot
 attempt from *under* a bind-mounted share (full-root and subtree
 variants), a fully-dropped capability set, and a spec with zero fs
-shares. Property tests pin the template-matching algebra the path gates
-are built on.
+shares. Each walk is ``action.gates(initial_state(target))``, the same
+walk WIT001–005 read. Property tests pin the template-matching algebra
+the path gates are built on.
 """
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.model import (
     DEV_MEM_PATH,
-    PrivilegeModel,
+    TCB_SURFACE_PREFIXES,
+    LintTarget,
     template_covers,
     templates_overlap,
 )
 from repro.analysis.modelcheck import (
     Reachability,
     check_target,
+    escape_actions,
     escape_predicates,
     initial_state,
 )
-from repro.analysis.model import LintTarget
+from repro.analysis.modelcheck.actions import (
+    ChrootAction,
+    OpenDevMemAction,
+    ShmRendezvousAction,
+    residual_defense,
+)
 from repro.containit.spec import PerforatedContainerSpec
 from repro.kernel.capabilities import (
     Capability,
@@ -35,30 +42,41 @@ def spec_with(name="EDGE", **overrides):
                                    **overrides)
 
 
+def walk(action, spec, capabilities=None):
+    """The action's gates from the spec's initial state."""
+    target = LintTarget(spec=spec, capabilities=capabilities)
+    return action.gates(initial_state(target))
+
+
+def fully_reachable(gates):
+    return not any(g.blocked for g in gates)
+
+
 class TestChrootUnderBindMount:
     """Bind-mounted shares must not re-open the chroot escape route."""
 
     def test_subtree_share_leaves_chroot_capability_gated(self):
-        model = PrivilegeModel(spec_with(fs_shares=("/home/{user}", "/etc")))
-        chroot = model.escape_path("chroot")
-        assert not chroot.fully_reachable
-        assert chroot.residual_defense == "CAP_SYS_CHROOT dropped"
+        chroot = walk(ChrootAction(),
+                      spec_with(fs_shares=("/home/{user}", "/etc")))
+        assert not fully_reachable(chroot)
+        assert residual_defense(chroot) == "CAP_SYS_CHROOT dropped"
 
     def test_full_root_bind_mount_still_blocks_chroot(self):
         # T-6 shape: the whole host root is ITFS-bind-mounted into the
         # container; everything is path-visible, yet the double-chroot
         # escape stays dead because the capability was dropped
-        model = PrivilegeModel(spec_with(fs_shares=("/",)))
-        assert model.full_root and model.path_visible("/anything/at/all")
-        assert not model.escape_path("chroot").fully_reachable
+        spec = spec_with(fs_shares=("/",))
+        state = initial_state(LintTarget(spec=spec))
+        assert spec.shares_full_root
+        assert state.path_visible("/anything/at/all")
+        assert not fully_reachable(ChrootAction().gates(state))
 
     def test_retained_chroot_cap_under_bind_mount_is_fully_reachable(self):
         caps = frozenset(container_capability_set()
                          | {Capability.CAP_SYS_CHROOT})
-        model = PrivilegeModel(spec_with(fs_shares=("/",)),
-                               capabilities=caps)
-        chroot = model.escape_path("chroot")
-        assert chroot.fully_reachable and chroot.residual_defense == ""
+        chroot = walk(ChrootAction(), spec_with(fs_shares=("/",)),
+                      capabilities=caps)
+        assert fully_reachable(chroot) and residual_defense(chroot) == ""
 
     def test_model_checker_agrees_chroot_needs_the_cap(self):
         caps = frozenset(container_capability_set()
@@ -77,20 +95,18 @@ class TestEmptyCapabilitySet:
     """With every capability dropped, only namespace holes matter."""
 
     def test_all_capability_gates_blocked(self):
-        model = PrivilegeModel(
-            spec_with(process_management=True, share_ipc=True),
-            capabilities=frozenset())
-        for path in model.escape_paths():
-            for gate in path.gates:
+        spec = spec_with(process_management=True, share_ipc=True)
+        for action in escape_actions():
+            for gate in walk(action, spec, capabilities=frozenset()):
                 if gate.layer == "capability":
-                    assert gate.blocked, (path.key, gate.name)
+                    assert gate.blocked, (action.route, gate.name)
 
     def test_ipc_escape_survives_empty_caps(self):
         # shm rendezvous carries no capability gate: sharing the IPC
         # namespace is sufficient even for a fully de-capabilitied admin
-        model = PrivilegeModel(spec_with(share_ipc=True),
-                               capabilities=frozenset())
-        assert model.escape_path("ipc").fully_reachable
+        ipc = walk(ShmRendezvousAction(), spec_with(share_ipc=True),
+                   capabilities=frozenset())
+        assert fully_reachable(ipc)
 
     def test_model_checker_finds_no_syscall_escape(self):
         target = LintTarget(spec=spec_with(fs_shares=("/home/{user}",),
@@ -111,20 +127,23 @@ class TestZeroShares:
     """A windowless container: no fs shares at all (S-3/T-11 shape)."""
 
     def test_nothing_is_path_visible(self):
-        model = PrivilegeModel(spec_with())
-        assert model.shares == ()
-        assert not model.path_visible("/etc")
-        assert not model.path_visible(DEV_MEM_PATH)
-        assert not model.subtree_reachable("/")
-        assert model.tcb_surface == ()
+        spec = spec_with()
+        state = initial_state(LintTarget(spec=spec))
+        assert spec.fs_shares == () and state.view == frozenset()
+        assert not state.path_visible("/etc")
+        assert not state.path_visible(DEV_MEM_PATH)
+        assert not any(templates_overlap(share, "/")
+                       for share in state.view)
+        assert not any(templates_overlap(share, prefix)
+                       for share in state.view
+                       for prefix in TCB_SURFACE_PREFIXES)
 
     def test_devmem_blocked_by_path_even_with_the_cap(self):
         caps = frozenset(container_capability_set()
                          | {Capability.CAP_DEV_MEM})
-        model = PrivilegeModel(spec_with(), capabilities=caps)
-        devmem = model.escape_path("devmem")
-        assert not devmem.fully_reachable
-        assert devmem.residual_defense == "filesystem isolation"
+        devmem = walk(OpenDevMemAction(), spec_with(), capabilities=caps)
+        assert not fully_reachable(devmem)
+        assert residual_defense(devmem) == "filesystem isolation"
 
     def test_host_write_unreachable_without_shares(self):
         target = LintTarget(spec=spec_with())

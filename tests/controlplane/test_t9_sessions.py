@@ -80,3 +80,34 @@ class TestT9ThroughThePlane:
             plane.close()
         assert {e.stream for e in trail.events} <= {"fs", "net", "broker"}
         assert [c.machine for c in trail.certificates] == ["ws-01"]
+
+
+@pytest.mark.parametrize("workers", ["thread", "process"])
+class TestBatchAdmissionIsAllOrNothing:
+    """Every row of a ``submit_many`` batch is validated before the first
+    chunk ships: an invalid row refuses the whole batch, with no ticket
+    served and no future lost."""
+
+    VALID = [("alice", TEXT, "ws-01")] * 40
+
+    @pytest.mark.parametrize("bad_row", [
+        ("alice", TEXT, "ws-99"),
+        ("alice", TEXT, "ws-01", "ws-02"),
+    ], ids=["unknown-machine", "cross-shard-target"])
+    def test_invalid_row_refuses_the_whole_batch(self, workers, bad_row):
+        plane = make_plane(workers)
+        try:
+            with pytest.raises(InvalidArgument):
+                plane.submit_many(self.VALID + [bad_row] + self.VALID[:5],
+                                  ADMIN)
+            plane.drain()
+            assert plane.submitted == 0
+            assert plane.store.counts()["sessions"] == 0
+            futures = plane.submit_many(self.VALID, ADMIN)
+            results = [f.result(timeout=60) for f in futures]
+            plane.drain()
+            assert all(r.resolved for r in results)
+            assert plane.submitted == len(self.VALID)
+            assert plane.store.counts()["sessions"] == len(self.VALID)
+        finally:
+            plane.close()

@@ -80,3 +80,25 @@ class TestPassthroughSemantics:
         fast = ITFS(big, document_blocking_policy(by_signature=True),
                     audit=AppendOnlyLog(), passthrough=True)
         assert sweep(fast) < sweep(plain)
+
+    def test_passthrough_reads_each_unchanged_head_once(self):
+        # the work behind the wall-clock test above, counted instead of
+        # timed: a second Figure 9 grep sweep over unchanged files costs
+        # no head load with the decision cache, one per file without it
+        from repro.experiments.figure9_itfs import _workloads
+
+        files = {"grep-small": 120, "grep-large": 10}
+        loads = {}
+        for name, build, drive in _workloads(1):
+            if name not in files:
+                continue
+            for passthrough in (True, False):
+                itfs = ITFS(build(), document_blocking_policy(
+                    log_all=False, by_signature=True),
+                    audit=AppendOnlyLog("fig9"), passthrough=passthrough)
+                drive(itfs)
+                drive(itfs)
+                loads[name, passthrough] = itfs.head_loads
+        assert loads == {
+            **{(name, True): n for name, n in files.items()},
+            **{(name, False): 2 * n for name, n in files.items()}}
