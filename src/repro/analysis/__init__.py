@@ -28,11 +28,7 @@ every counterexample witness against the live rig — ``repro
 verify-model`` is the front end.
 """
 
-from repro.analysis.checkers import (
-    Checker,
-    default_checkers,
-    rule_catalog,
-)
+from repro.analysis.checkers import Checker
 from repro.analysis.findings import (
     Finding,
     LintReport,
@@ -42,7 +38,9 @@ from repro.analysis.findings import (
 from repro.analysis.linter import (
     PerforationLinter,
     builtin_catalog,
+    default_checkers,
     lint_catalog,
+    rule_catalog,
 )
 from repro.analysis.model import (
     LintTarget,

@@ -2,9 +2,10 @@
 
 A :class:`Checker` inspects one :class:`~repro.analysis.model.LintTarget`
 and yields :class:`~repro.analysis.findings.Finding`s keyed by the stable
-rule IDs it declares. Checkers register themselves with :func:`register`;
-the linter instantiates :func:`default_checkers` (escape-path rules
-WIT001-WIT005 live in :mod:`repro.analysis.escape`).
+rule IDs it declares. :data:`CONFIG_CHECKERS` lists this module's
+checkers; the linter's :func:`~repro.analysis.linter.default_checkers`
+joins them with the escape-path rules WIT001-WIT005 of
+:mod:`repro.analysis.escape`.
 
 Rule ID blocks:
 
@@ -18,7 +19,7 @@ Rule ID blocks:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, Optional, Tuple, Type
 
 from repro.analysis.findings import Finding, RuleInfo, Severity
 from repro.analysis.model import (
@@ -29,32 +30,6 @@ from repro.analysis.model import (
     templates_overlap,
 )
 from repro.itfs.policy import ExtensionRule, PathRule, Rule, SignatureRule
-
-#: Registered checker classes, in registration (module definition) order.
-_REGISTRY: List[Type["Checker"]] = []
-
-
-def register(cls: Type["Checker"]) -> Type["Checker"]:
-    """Class decorator adding a checker to the default set."""
-    _REGISTRY.append(cls)
-    return cls
-
-
-def default_checkers() -> List["Checker"]:
-    """Fresh instances of every registered checker, escape rules included."""
-    # importing the module runs its @register decorators exactly once
-    import repro.analysis.escape  # noqa: F401
-    return [cls() for cls in _REGISTRY]
-
-
-def rule_catalog() -> Dict[str, RuleInfo]:
-    """rule_id -> RuleInfo over every registered checker (docs/SARIF)."""
-    catalog: Dict[str, RuleInfo] = {}
-    for checker in default_checkers():
-        for info in checker.rules:
-            catalog[info.rule_id] = info
-    return dict(sorted(catalog.items()))
-
 
 class Checker:
     """Base checker: declares its rules, yields findings for a target."""
@@ -80,7 +55,6 @@ class Checker:
 # WIT01x — over-privilege
 # ----------------------------------------------------------------------
 
-@register
 class ShadowedShareChecker(Checker):
     rules = (RuleInfo(
         "WIT010", "fs share shadowed by a broader share", Severity.WARNING,
@@ -108,7 +82,6 @@ class ShadowedShareChecker(Checker):
                     break
 
 
-@register
 class MootNetworkAllowlistChecker(Checker):
     rules = (RuleInfo(
         "WIT011", "network allowlist unreachable under shared NET namespace",
@@ -129,7 +102,6 @@ class MootNetworkAllowlistChecker(Checker):
                           "share_network_ns": True})
 
 
-@register
 class BrokerTcbGrantChecker(Checker):
     rules = (RuleInfo(
         "WIT012", "broker grants TCB updates to a class with no TCB surface",
@@ -151,7 +123,6 @@ class BrokerTcbGrantChecker(Checker):
                 evidence={"fs_shares": list(target.spec.fs_shares)})
 
 
-@register
 class BrokerNetworkWildcardChecker(Checker):
     rules = (RuleInfo(
         "WIT013", "broker network wildcard on a network-isolated class",
@@ -206,7 +177,6 @@ def _rule_domain_covers(allow: Rule, deny: Rule) -> bool:
     return False
 
 
-@register
 class ShadowedDenyRuleChecker(Checker):
     rules = (RuleInfo(
         "WIT020", "allow rule shadows a later deny rule", Severity.ERROR,
@@ -233,7 +203,6 @@ class ShadowedDenyRuleChecker(Checker):
                                   "allow_position": i, "deny_position": j})
 
 
-@register
 class DeadPathRuleChecker(Checker):
     rules = (RuleInfo(
         "WIT021", "ITFS path rule lies outside every fs share",
@@ -265,7 +234,6 @@ class DeadPathRuleChecker(Checker):
                               "fs_shares": list(spec.fs_shares)})
 
 
-@register
 class DuplicateRuleNameChecker(Checker):
     rules = (RuleInfo(
         "WIT022", "duplicate ITFS rule names", Severity.WARNING,
@@ -291,7 +259,6 @@ class DuplicateRuleNameChecker(Checker):
 # WIT03x — monitoring gaps
 # ----------------------------------------------------------------------
 
-@register
 class UnmonitoredFsShareChecker(Checker):
     rules = (RuleInfo(
         "WIT030", "fs shares exposed without filesystem monitoring",
@@ -311,7 +278,6 @@ class UnmonitoredFsShareChecker(Checker):
                 evidence={"fs_shares": list(spec.fs_shares)})
 
 
-@register
 class UnmonitoredNetworkChecker(Checker):
     rules = (RuleInfo(
         "WIT031", "network access without network monitoring",
@@ -332,7 +298,6 @@ class UnmonitoredNetworkChecker(Checker):
                 evidence={"network_mode": network_mode(target.spec)})
 
 
-@register
 class MissingHardConstraintChecker(Checker):
     rules = (
         RuleInfo(
@@ -365,3 +330,11 @@ class MissingHardConstraintChecker(Checker):
                 "signature monitoring enabled but no content class is "
                 "blocked",
                 rule_index=1)
+
+
+#: this module's checkers, in the order the linter runs them
+CONFIG_CHECKERS: Tuple[Type[Checker], ...] = (
+    ShadowedShareChecker, MootNetworkAllowlistChecker, BrokerTcbGrantChecker,
+    BrokerNetworkWildcardChecker, ShadowedDenyRuleChecker, DeadPathRuleChecker,
+    DuplicateRuleNameChecker, UnmonitoredFsShareChecker,
+    UnmonitoredNetworkChecker, MissingHardConstraintChecker)

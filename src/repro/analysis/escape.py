@@ -15,9 +15,9 @@ defense-in-depth stack survives statically:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Tuple, Type
 
-from repro.analysis.checkers import Checker, register
+from repro.analysis.checkers import Checker
 from repro.analysis.findings import Finding, RuleInfo, Severity
 from repro.analysis.model import LintTarget
 from repro.analysis.modelcheck.actions import (
@@ -70,7 +70,6 @@ class EscapeChecker(Checker):
                 evidence=evidence, severity=Severity.WARNING)
 
 
-@register
 class ChrootEscapeChecker(EscapeChecker):
     action = ChrootAction()
     location = "capabilities.CAP_SYS_CHROOT"
@@ -81,7 +80,6 @@ class ChrootEscapeChecker(EscapeChecker):
         "escape is statically reachable."),)
 
 
-@register
 class PtraceEscapeChecker(EscapeChecker):
     action = PtraceAction()
     location = "spec.process_management"
@@ -93,7 +91,6 @@ class PtraceEscapeChecker(EscapeChecker):
         "CAP_SYS_PTRACE still blocks turning one into a bind shell."),)
 
 
-@register
 class MknodEscapeChecker(EscapeChecker):
     action = MknodAction()
     location = "capabilities.CAP_MKNOD"
@@ -103,7 +100,6 @@ class MknodEscapeChecker(EscapeChecker):
         "CAP_MKNOD; a capability set retaining it re-opens the escape."),)
 
 
-@register
 class DevMemEscapeChecker(EscapeChecker):
     action = OpenDevMemAction()
     location = "spec.fs_shares"
@@ -115,7 +111,6 @@ class DevMemEscapeChecker(EscapeChecker):
         "blocks scraping kernel memory."),)
 
 
-@register
 class IpcEscapeChecker(EscapeChecker):
     action = ShmRendezvousAction()
     location = "spec.share_ipc"
@@ -125,3 +120,9 @@ class IpcEscapeChecker(EscapeChecker):
         "share_ipc perforates the IPC namespace; SysV shm carries no "
         "capability gate in the syscall layer, so a contained process can "
         "rendezvous with any host process through shared segments."),)
+
+
+#: WIT001-WIT005, in the order the linter runs them
+ESCAPE_CHECKERS: Tuple[Type[Checker], ...] = (
+    ChrootEscapeChecker, PtraceEscapeChecker, MknodEscapeChecker,
+    DevMemEscapeChecker, IpcEscapeChecker)

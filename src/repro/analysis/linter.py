@@ -12,11 +12,24 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.analysis.checkers import Checker, default_checkers, rule_catalog
-from repro.analysis.findings import Finding, LintReport
-from repro.analysis.model import LintTarget
+from repro.analysis.checkers import CONFIG_CHECKERS, Checker
+from repro.analysis.escape import ESCAPE_CHECKERS
+from repro.analysis.findings import Finding, LintReport, RuleInfo
+from repro.analysis.model import LintTarget, builtin_catalog
 from repro.broker.policy import BrokerPolicy
 from repro.containit.spec import PerforatedContainerSpec
+
+
+def default_checkers() -> List[Checker]:
+    """Fresh instances of every checker, the escape rules WIT001-005 last."""
+    return [cls() for cls in CONFIG_CHECKERS + ESCAPE_CHECKERS]
+
+
+def rule_catalog() -> Dict[str, RuleInfo]:
+    """rule_id -> RuleInfo over every default checker (docs/SARIF)."""
+    catalog = {info.rule_id: info for checker in default_checkers()
+               for info in checker.rules}
+    return dict(sorted(catalog.items()))
 
 
 class PerforationLinter:
@@ -38,19 +51,6 @@ class PerforationLinter:
         return LintReport.collect(
             findings, targets=[t.name for t in targets],
             rule_catalog=rule_catalog().values())
-
-
-def builtin_catalog() -> Dict[str, PerforatedContainerSpec]:
-    """The shipped spec catalog: Table 3 plus the Figure 8 script classes."""
-    from repro.framework.images import (
-        SCRIPT_SPECS_CHEF_PUPPET,
-        SCRIPT_SPECS_CLUSTER,
-        TABLE3_SPECS,
-    )
-    catalog: Dict[str, PerforatedContainerSpec] = dict(TABLE3_SPECS)
-    catalog.update(SCRIPT_SPECS_CHEF_PUPPET)
-    catalog.update(SCRIPT_SPECS_CLUSTER)
-    return catalog
 
 
 def lint_catalog(specs: Optional[Dict[str, PerforatedContainerSpec]] = None,

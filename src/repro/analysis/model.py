@@ -6,13 +6,13 @@ themselves are stated once, on the model checker's escape actions
 (:mod:`repro.analysis.modelcheck.actions`); this module holds what every
 analyzer needs around them: ``{user}``-aware path matching
 (:func:`template_covers`, :func:`templates_overlap`), the TCB subtrees,
-and the spec's network mode.
+the spec's network mode, and the shipped spec catalog.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.broker.policy import ClassEscalationPolicy
 from repro.containit.container import build_itfs_policy
@@ -85,3 +85,16 @@ def network_mode(spec: PerforatedContainerSpec) -> str:
     if spec.network_allowed:
         return "firewalled"
     return "isolated"
+
+
+def builtin_catalog() -> Dict[str, PerforatedContainerSpec]:
+    """The shipped spec catalog: Table 3 plus the Figure 8 script classes."""
+    from repro.framework.images import (
+        SCRIPT_SPECS_CHEF_PUPPET,
+        SCRIPT_SPECS_CLUSTER,
+        TABLE3_SPECS,
+    )
+    catalog: Dict[str, PerforatedContainerSpec] = dict(TABLE3_SPECS)
+    catalog.update(SCRIPT_SPECS_CHEF_PUPPET)
+    catalog.update(SCRIPT_SPECS_CLUSTER)
+    return catalog

@@ -24,8 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.analysis.findings import Finding, LintReport, Severity
-from repro.analysis.linter import builtin_catalog
-from repro.analysis.model import LintTarget
+from repro.analysis.model import LintTarget, builtin_catalog
 from repro.analysis.modelcheck.engine import (
     DEFAULT_DEPTH,
     ModelCheckResult,

@@ -111,19 +111,21 @@ def _workloads(scale: int) -> List[Tuple[str, Callable, Callable]]:
 
 
 def run_figure9(scale: int = 1, repeats: int = 3) -> Figure9Result:
-    """Measure all workload x config cells; returns normalized results."""
+    """Measure all workload x config cells; returns normalized results.
+
+    Each repeat runs all three configs and a cell keeps its fastest repeat,
+    so a burst of host load hits every config alike, not one config.
+    """
     times: Dict[str, Dict[str, float]] = {}
     for name, build, drive in _workloads(scale):
-        times[name] = {}
-        for config in CONFIGS:
-            best = float("inf")
-            for _ in range(repeats):
-                fs = build()
-                target = _wrap(fs, config)
+        best = dict.fromkeys(CONFIGS, float("inf"))
+        for _ in range(repeats):
+            for config in CONFIGS:
+                target = _wrap(build(), config)
                 start = time.perf_counter()
                 drive(target)
-                best = min(best, time.perf_counter() - start)
-            times[name][config] = best
+                best[config] = min(best[config], time.perf_counter() - start)
+        times[name] = best
     normalized = {
         workload: {config: per_config["ext4"] / per_config[config]
                    for config in CONFIGS}

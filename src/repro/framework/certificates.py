@@ -14,7 +14,7 @@ import hmac
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import CertificateError
 
@@ -45,17 +45,20 @@ class Certificate:
 
 
 class CertificateAuthority:
-    """Issues, validates, and revokes container-login certificates."""
+    """Issues, validates, and revokes container-login certificates.
+
+    Memory keeps only live certificates: an allowlist of the serials this
+    CA minted and has not revoked. Revoking a ticket drops its entry, and
+    the event store's ``CertificateRow`` is the history. A certificate
+    validates only on the CA instance that issued it.
+    """
 
     def __init__(self, clock: Callable[[], int], secret: bytes = b"watchit-ca",
                  default_ttl: int = 100):
         self._clock = clock
         self._secret = secret
         self.default_ttl = default_ttl
-        self._revoked: Set[int] = set()
-        #: ticket_id -> serials minted for it, dropped by revoke_ticket;
-        #: revoke_ticket must not scan the full issuance history (the
-        #: control plane revokes per ticket, thousands of times per storm)
+        #: ticket_id -> serials minted for it and not yet revoked
         self._by_ticket: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
@@ -93,23 +96,14 @@ class CertificateAuthority:
         if machine is not None and cert.machine != machine:
             raise CertificateError(
                 f"certificate bound to {cert.machine}, not {machine}")
-        if cert.serial in self._revoked:
+        if cert.serial not in self._by_ticket.get(cert.ticket_id, ()):
             raise CertificateError("certificate has been revoked")
         if self._clock() > cert.expires_at:
             raise CertificateError("certificate has expired")
 
-    def revoke(self, cert: Certificate) -> None:
-        """Revoke on ticket expiry/resolution."""
-        self._revoked.add(cert.serial)
-
     def revoke_ticket(self, ticket_id: int) -> int:
-        """Revoke every certificate minted for one ticket."""
-        count = 0
-        for serial in self._by_ticket.pop(ticket_id, ()):
-            if serial not in self._revoked:
-                self._revoked.add(serial)
-                count += 1
-        return count
+        """Revoke every live certificate minted for one ticket."""
+        return len(self._by_ticket.pop(ticket_id, ()))
 
     def authenticator(self, machine: Optional[str] = None
                       ) -> Callable[[Optional[Certificate], str], None]:

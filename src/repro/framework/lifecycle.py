@@ -175,7 +175,7 @@ class TicketSession(Generic[LeaseT]):
             for leg in self.legs:
                 self.source.release(leg.lease)
         if exc is None:
-            self.ticket.resolve()
+            self.org.tickets.resolve(self.ticket)
 
     def __enter__(self) -> "TicketSession[LeaseT]":
         return self.open()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import TicketError
 
@@ -78,12 +78,13 @@ class Ticket:
         self.assignee = admin
         self.status = TicketStatus.ASSIGNED
 
-    def resolve(self) -> None:
-        self.status = TicketStatus.RESOLVED
-
 
 class TicketDatabase:
-    """The organizational ticket store with role enforcement."""
+    """The organization's open tickets, with role enforcement.
+
+    Memory keeps only live tickets: :meth:`resolve` settles a ticket and
+    drops it, and the event store's ``TicketRow`` is its history.
+    """
 
     def __init__(self):
         self._tickets: Dict[int, Ticket] = {}
@@ -117,25 +118,29 @@ class TicketDatabase:
         self._tickets[ticket.ticket_id] = ticket
         return ticket
 
+    def resolve(self, ticket: Ticket) -> None:
+        """Settle a ticket as resolved; it leaves the database."""
+        ticket.status = TicketStatus.RESOLVED
+        self._tickets.pop(ticket.ticket_id, None)
+
     def get(self, ticket_id: int) -> Ticket:
+        """An open ticket; a resolved one raises like an unknown id."""
         ticket = self._tickets.get(ticket_id)
         if ticket is None:
             raise TicketError(f"no ticket {ticket_id}")
         return ticket
 
     def all(self) -> List[Ticket]:
+        """Every open ticket, oldest first."""
         return sorted(self._tickets.values(), key=lambda t: t.ticket_id)
 
     def by_status(self, status: TicketStatus) -> List[Ticket]:
+        """Open tickets in one status (never ``RESOLVED``)."""
         return [t for t in self.all() if t.status is status]
 
     def by_class(self, ticket_class: str) -> List[Ticket]:
+        """Open tickets of one predicted class."""
         return [t for t in self.all() if t.predicted_class == ticket_class]
-
-    def bulk_load(self, tickets: Iterable[Ticket]) -> None:
-        """Import a historical corpus (e.g. the synthetic IBM-like DB)."""
-        for ticket in tickets:
-            self._tickets[ticket.ticket_id] = ticket
 
     def __len__(self) -> int:
         return len(self._tickets)

@@ -3,9 +3,9 @@
 A :class:`Tracer` records *finished* spans — one per instrumented
 operation (a syscall, an ITFS check, a broker request) — into a ring
 buffer of fixed capacity, so tracing can stay always-on without unbounded
-growth. Spans nest: the tracer keeps an open-span stack, and each record
-carries its parent's id, letting :meth:`Tracer.format_tree` reconstruct
-the call structure (``syscall:read`` → ``itfs:check`` → …).
+growth. Spans nest: each thread keeps its own open-span stack, and each
+record carries its parent's id, letting :meth:`Tracer.format_tree`
+reconstruct the call structure (``syscall:read`` → ``itfs:check`` → …).
 
 The clock is injectable: production uses ``time.perf_counter``, tests
 inject a deterministic counter so span timings are reproducible.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -78,6 +79,13 @@ class Span:
         return False  # never swallow
 
 
+class _OpenSpans(threading.local):
+    """One thread's stack of open spans, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: List[SpanRecord] = []
+
+
 class Tracer:
     """Ring-buffered span recorder.
 
@@ -94,7 +102,7 @@ class Tracer:
         self._clock = clock or time.perf_counter
         self._ids = itertools.count(1)
         self._finished: deque = deque(maxlen=capacity)
-        self._open_stack: List[SpanRecord] = []
+        self._open = _OpenSpans()
         self.spans_started = 0
         self.spans_dropped = 0
 
@@ -103,15 +111,16 @@ class Tracer:
     def span(self, name: str, **attrs) -> Span:
         """Open a span; use as a context manager.
 
-        The parent is the innermost span still open on this tracer, so
+        The parent is the innermost span still open on this thread, so
         nesting falls out of ordinary ``with`` block structure.
         """
         if not self.enabled:
             return _NOOP_SPAN
-        parent = self._open_stack[-1].span_id if self._open_stack else None
-        record = SpanRecord(span_id=next(self._ids), parent_id=parent,
+        stack = self._open.stack
+        record = SpanRecord(span_id=next(self._ids),
+                            parent_id=stack[-1].span_id if stack else None,
                             name=name, start=self._clock(), attrs=dict(attrs))
-        self._open_stack.append(record)
+        stack.append(record)
         self.spans_started += 1
         return Span(self, record)
 
@@ -120,7 +129,8 @@ class Tracer:
         if not self.enabled:
             return
         now = self._clock()
-        parent = self._open_stack[-1].span_id if self._open_stack else None
+        stack = self._open.stack
+        parent = stack[-1].span_id if stack else None
         self._store(SpanRecord(span_id=next(self._ids), parent_id=parent,
                                name=name, start=now, end=now,
                                attrs=dict(attrs)))
@@ -128,9 +138,9 @@ class Tracer:
     def _finish(self, record: SpanRecord) -> None:
         record.end = self._clock()
         # pop through abandoned children (an exception may have skipped them)
-        while self._open_stack:
-            top = self._open_stack.pop()
-            if top.span_id == record.span_id:
+        stack = self._open.stack
+        while stack:
+            if stack.pop().span_id == record.span_id:
                 break
         self._store(record)
 
@@ -201,7 +211,7 @@ class Tracer:
 
     def reset(self) -> None:
         self._finished.clear()
-        self._open_stack.clear()
+        self._open = _OpenSpans()
         self.spans_started = 0
         self.spans_dropped = 0
 

@@ -15,6 +15,7 @@ from repro.errors import (
     IntegrityError,
     InvalidArgument,
     ShuttingDown,
+    TicketError,
     WorkerCrashed,
 )
 from repro.framework.tickets import TicketStatus
@@ -136,14 +137,17 @@ class TestErroredTicketState:
             plane.close()
 
     def test_successful_session_still_resolves_ticket(self):
+        # a resolved ticket leaves the org's memory; the store keeps it
         plane = make_plane(shards=1)
         try:
             result = plane.submit("alice", TEXT, "ws-01",
                                   ADMIN).result(timeout=30)
             assert result.resolved
+            trail = plane.store.get_trail(result.session_id)
+            assert trail.ticket.status == "RESOLVED"
             shard = plane.router.route("ws-01")
-            ticket = shard.org.tickets.get(result.ticket_id)
-            assert ticket.status is TicketStatus.RESOLVED
+            with pytest.raises(TicketError):
+                shard.org.tickets.get(result.ticket_id)
         finally:
             plane.close()
 

@@ -68,7 +68,7 @@ def _finish(org, pool, ticket, pooled, shell):
         shell.exit()
     org.certificates.revoke_ticket(ticket.ticket_id)
     reused = pool.release(pooled)
-    ticket.resolve()
+    org.tickets.resolve(ticket)
     return reused
 
 

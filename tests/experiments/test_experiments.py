@@ -111,9 +111,9 @@ class TestFigure9:
         # timing-based: under a fully loaded test run a single measurement
         # can be noisy, so allow a couple of attempts (the benchmark keeps
         # the strict single-shot check at a larger scale)
-        attempts = [run_figure9(scale=1, repeats=3) for _ in range(1)]
+        attempts = [run_figure9(scale=1, repeats=5) for _ in range(1)]
         if not any(r.shape_holds() for r in attempts):
-            attempts.append(run_figure9(scale=2, repeats=3))
+            attempts.append(run_figure9(scale=2, repeats=5))
         assert any(r.shape_holds() for r in attempts), \
             [r.normalized for r in attempts]
 

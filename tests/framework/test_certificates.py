@@ -57,9 +57,19 @@ class TestValidation:
 class TestRevocation:
     def test_revoked_certificate_rejected(self, ca):
         cert = ca.issue("it-bob", 1, "ws-01", "T-1")
-        ca.revoke(cert)
-        with pytest.raises(CertificateError):
+        ca.revoke_ticket(cert.ticket_id)
+        with pytest.raises(CertificateError, match="revoked"):
             ca.validate(cert, "it-bob")
+
+    def test_certificate_from_another_ca_rejected(self, ca, clockbox):
+        # same secret, so the signature checks out; but this CA never
+        # minted the serial, and only live certificates it issued validate
+        other = CertificateAuthority(clock=lambda: clockbox["now"],
+                                     default_ttl=10)
+        cert = other.issue("it-bob", 1, "ws-01", "T-1")
+        other.validate(cert, "it-bob", machine="ws-01")
+        with pytest.raises(CertificateError, match="revoked"):
+            ca.validate(cert, "it-bob", machine="ws-01")
 
     def test_revoke_ticket_revokes_all(self, ca):
         a = ca.issue("it-bob", 7, "ws-01", "T-1")

@@ -54,8 +54,12 @@ class TestLifecycle:
         ticket = db.submit("alice", "x problem")
         ticket.classify_as("T-11")
         ticket.assign_to("it-bob")
-        ticket.resolve()
+        db.resolve(ticket)
         assert ticket.status is TicketStatus.RESOLVED
+        # the database keeps open tickets only; the store keeps history
+        with pytest.raises(TicketError):
+            db.get(ticket.ticket_id)
+        assert len(db) == 0
 
     def test_queries(self, db):
         a = db.submit("alice", "one issue here")

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import sys
+import threading
 
 import pytest
 
@@ -136,3 +138,90 @@ class TestExport:
         tracer.reset()
         assert len(tracer) == 0
         assert tracer.spans_started == 0
+
+
+class TestThreads:
+    def test_parentage_is_per_thread(self):
+        """Interleave two threads' spans step by step: each thread's spans
+        nest under its own open spans only, and closing one thread's span
+        pops nothing off the other's stack."""
+        tracer = Tracer(capacity=16)
+        a1_open, b1_open, a2_open, b1_closed = (threading.Event()
+                                                for _ in range(4))
+        errors = []
+
+        def step(event):
+            if not event.wait(timeout=10):
+                raise TimeoutError("the other thread never reached its step")
+
+        def thread_a():
+            try:
+                with tracer.span("a1"):
+                    a1_open.set()
+                    step(b1_open)
+                    with tracer.span("a2"):
+                        a2_open.set()
+                        step(b1_closed)
+                        with tracer.span("a3"):
+                            pass
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        def thread_b():
+            try:
+                step(a1_open)
+                with tracer.span("b1"):
+                    b1_open.set()
+                    step(a2_open)
+                b1_closed.set()
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=thread_a),
+                   threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not errors, errors
+        spans = {r.name: r for r in tracer.records}
+        assert spans["a1"].parent_id is None
+        assert spans["b1"].parent_id is None
+        assert spans["a2"].parent_id == spans["a1"].span_id
+        assert spans["a3"].parent_id == spans["a2"].span_id
+
+    def test_threads_never_parent_each_other_under_preemption(self):
+        tracer = Tracer(capacity=4096)
+        errors = []
+
+        def worker(tag):
+            try:
+                for _ in range(200):
+                    with tracer.span(f"{tag}:outer"):
+                        with tracer.span(f"{tag}:inner"):
+                            pass
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(f"t{i}",))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        records = tracer.records
+        assert len(records) == 4 * 200 * 2
+        by_id = {r.span_id: r for r in records}
+        for record in records:
+            tag, kind = record.name.split(":")
+            if kind == "outer":
+                assert record.parent_id is None, record
+            else:
+                assert by_id[record.parent_id].name == f"{tag}:outer", record

@@ -14,8 +14,8 @@ plus ``/dev`` and ``/``) and random capability sets:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import LintTarget, PerforationLinter, Severity
-from repro.analysis.checkers import default_checkers
+from repro.analysis import (LintTarget, PerforationLinter, Severity,
+                            default_checkers)
 from repro.analysis.escape import EscapeChecker
 from repro.analysis.linter import builtin_catalog
 from repro.analysis.modelcheck import (
