@@ -8,30 +8,22 @@ the top repeated escalation back into the class image.
 
 import dataclasses
 
-from repro.broker import BrokerClient, PermissionBroker
 from repro.experiments.rig import build_case_study_rig
 from repro.framework.images import TABLE3_SPECS
-from repro.containit import PerforatedContainer
 
 
 def _serve_tickets(rig, spec, n_tickets):
     """Handle n T-2-style tickets that all need shared-storage access."""
     log_records = 0
-    for i in range(n_tickets):
-        container = PerforatedContainer.deploy(
-            rig.host, spec, user="alice", address_book=rig.address_book,
-            container_ip=f"10.0.98.{10 + i}")
-        broker = PermissionBroker(rig.host, container,
-                                  address_book=rig.address_book)
-        shell = container.login("it-bob")
-        client = BrokerClient(shell, broker, ticket_class=spec.name)
-        shell.read_file("/etc/passwd")
-        if not shell.net_reachable("10.0.1.20", 2049):
-            client.grant_network("shared-storage")
-        conn = shell.connect("10.0.1.20", 2049)
-        conn.send(b"lookup user")
-        log_records += len(broker.audit)
-        container.terminate("done")
+    for _ in range(n_tickets):
+        with rig.session(spec, "alice", "it-bob") as session:
+            shell = session.shell
+            shell.read_file("/etc/passwd")
+            if not shell.net_reachable("10.0.1.20", 2049):
+                session.client.grant_network("shared-storage")
+            conn = shell.connect("10.0.1.20", 2049)
+            conn.send(b"lookup user")
+            log_records += len(session.broker.audit)
     return log_records
 
 

@@ -9,7 +9,7 @@ import time
 
 from repro.itfs import ITFS, AppendOnlyLog, PolicyManager, SignatureRule
 from repro.errors import AccessBlocked
-from repro.workload.fsbench import build_file_tree, grep_workload
+from repro.workload.fsbench import build_file_tree
 
 
 def run_sweep(head_sizes=(8, 16, 64, 512, 4096), n_files=300):

@@ -9,10 +9,8 @@ We serve a batch of evaluation tickets and compare: full ITFS+network
 audit volume vs. the broker's escalation-only log.
 """
 
-from repro.broker import BrokerClient, PermissionBroker
-from repro.containit import PerforatedContainer
-from repro.experiments.rig import DESTINATION_ENDPOINTS, build_case_study_rig
 from repro.errors import ReproError
+from repro.experiments.rig import build_case_study_rig, replay_op
 from repro.framework.images import TABLE3_SPECS
 from repro.workload import generate_evaluation_tickets
 
@@ -24,44 +22,15 @@ def run_volume_comparison(n_tickets=80, seed=61):
     broker_records = 0
     for ticket in tickets:
         spec = TABLE3_SPECS.get(ticket.true_class, TABLE3_SPECS["T-11"])
-        container = PerforatedContainer.deploy(
-            rig.host, spec, user=ticket.reporter,
-            address_book=rig.address_book, container_ip="10.0.96.9")
-        broker = PermissionBroker(rig.host, container,
-                                  address_book=rig.address_book,
-                                  software_repository=rig.software_repository)
-        shell = container.login("it-admin")
-        client = BrokerClient(shell, broker)
-        for op in ticket.required_ops:
-            kind, arg = op["op"], op["arg"]
-            try:
-                if kind == "read":
-                    shell.read_file(arg)
-                elif kind == "write":
-                    shell.write_file(arg, b"#", append=True)
-                elif kind == "net":
-                    ip, port = DESTINATION_ENDPOINTS[arg]
-                    shell.connect(ip, port).send(b"op")
-                elif kind == "ps":
-                    shell.ps()
-                elif kind == "kill":
-                    victim = rig.host.sys.clone(shell.proc, "r")
-                    shell.kill(victim.pid_in(shell.proc.namespaces.pid))
-                elif kind == "service-restart":
-                    shell.restart_service(arg)
-                elif kind == "pb-net":
-                    client.grant_network(arg)
-                elif kind == "pb-proc":
-                    client.pb("ps -a" if arg == "ps" else f"{arg} sshd")
-                elif kind == "pb-install":
-                    client.install_package(arg)
-                elif kind == "pb-fs":
-                    client.share_path(arg)
-            except ReproError:
-                pass
-        full_records += len(container.fs_audit) + len(container.net_audit)
-        broker_records += len(broker.audit)
-        container.terminate("done")
+        with rig.session(spec, ticket.reporter, "it-admin") as session:
+            for op in ticket.required_ops:
+                try:
+                    replay_op(rig, session, op)
+                except ReproError:
+                    pass
+            container = session.container
+            full_records += len(container.fs_audit) + len(container.net_audit)
+            broker_records += len(session.broker.audit)
     return full_records, broker_records, n_tickets
 
 

@@ -40,15 +40,12 @@ from repro.analysis.modelcheck.runner import (
     catalog_targets,
     overprivileged_fixture_target,
 )
-from repro.broker.client import BrokerClient
-from repro.broker.server import PermissionBroker
-from repro.containit.container import PerforatedContainer
 from repro.containit.spec import PerforatedContainerSpec
-from repro.errors import ReproError
 from repro.experiments.rig import (
-    DESTINATION_ENDPOINTS,
     CaseStudyRig,
+    RigSession,
     build_case_study_rig,
+    replay_op,
 )
 from repro.kernel.capabilities import Capability, Credentials
 from repro.workload.corpus import generate_evaluation_tickets
@@ -58,10 +55,6 @@ from repro.workload.scripts import (
     chef_puppet_scripts,
     cluster_scripts,
 )
-
-#: IP every mining session's container deploys on (sessions are strictly
-#: sequential; each terminates before the next deploys).
-_CONTAINER_IP = "10.0.99.70"
 
 #: Benign sessions for the X-DEV fixture class: plain home-directory
 #: device-tooling work. Deliberately exercises neither ``/dev`` nor
@@ -129,86 +122,35 @@ def plan_sessions(classes: Sequence[str], n_tickets: int, seed: int,
     return plans
 
 
-def _run_ops(rig: CaseStudyRig, shell, client: BrokerClient,
-             ops: Sequence[Dict[str, str]]) -> None:
-    """Execute ticket-style required ops (the Table-4 replay dispatch)."""
-    for op in ops:
-        kind, arg = op["op"], op["arg"]
-        if kind == "read":
-            shell.read_file(arg)
-        elif kind == "write":
-            shell.write_file(arg, b"# updated by IT\n", append=True)
-        elif kind == "net":
-            ip, port = DESTINATION_ENDPOINTS[arg]
-            shell.connect(ip, port).send(b"op")
-        elif kind == "ps":
-            shell.ps()
-        elif kind == "kill":
-            victim = rig.host.sys.clone(shell.proc, "runaway")
-            shell.kill(victim.pid_in(shell.proc.namespaces.pid))
-        elif kind == "service-restart":
-            shell.restart_service(arg)
-        elif kind == "pb-proc":
-            response = client.pb(f"{arg} sshd" if arg == "service-restart"
-                                 else arg)
-            if not response.ok:
-                raise ReproError(f"broker refused {arg}: {response.error}")
-        elif kind == "pb-fs":
-            response = client.share_path(arg)
-            if not response.ok:
-                raise ReproError(f"broker refused share: {response.error}")
-        elif kind == "pb-net":
-            response = client.grant_network(arg)
-            if not response.ok:
-                raise ReproError(f"broker refused grant: {response.error}")
-            ip, port = DESTINATION_ENDPOINTS[arg]
-            shell.connect(ip, port).send(b"op")
-        elif kind == "pb-install":
-            response = client.install_package(arg)
-            if not response.ok:
-                raise ReproError(f"broker refused install: {response.error}")
-        else:
-            raise ReproError(f"unknown replay op {kind!r}")
-
-
 def _run_session(rig: CaseStudyRig, spec: PerforatedContainerSpec,
                  plan: PlannedSession,
                  recorder: Optional[TraceRecorder] = None,
                  capabilities: Optional[frozenset] = None) -> List[str]:
     """Deploy, run one session, terminate. Returns denial/error strings."""
     errors: List[str] = []
-    container = PerforatedContainer.deploy(
-        rig.host, spec, user=plan.user, address_book=rig.address_book,
-        container_ip=_CONTAINER_IP)
-    broker = PermissionBroker(rig.host, container,
-                              address_book=rig.address_book,
-                              software_repository=rig.software_repository)
     credentials = (Credentials(uid=0, gid=0, caps=capabilities)
                    if capabilities is not None else None)
-    shell = container.login("it-admin", credentials=credentials)
-    client = BrokerClient(shell, broker, ticket_class=spec.name)
-    try:
-        if recorder is not None:
-            with recorder.session(plan.ticket_class, plan.user,
-                                  session_id=plan.label):
-                _execute(rig, shell, client, plan)
-        else:
-            _execute(rig, shell, client, plan)
-    except ReproError as exc:
-        errors.append(f"{plan.label}: {type(exc).__name__}: {exc}")
-    except Exception as exc:  # noqa: BLE001 — script bodies may raise anything
-        errors.append(f"{plan.label}: {type(exc).__name__}: {exc}")
-    finally:
-        container.terminate("mining session done")
+    with rig.session(spec, plan.user, "it-admin",
+                     credentials=credentials) as session:
+        try:
+            if recorder is not None:
+                with recorder.session(plan.ticket_class, plan.user,
+                                      session_id=plan.label):
+                    _execute(rig, session, plan)
+            else:
+                _execute(rig, session, plan)
+        except Exception as exc:  # noqa: BLE001 — script bodies may raise anything
+            errors.append(f"{plan.label}: {type(exc).__name__}: {exc}")
     return errors
 
 
-def _execute(rig: CaseStudyRig, shell, client: BrokerClient,
+def _execute(rig: CaseStudyRig, session: RigSession,
              plan: PlannedSession) -> None:
     if plan.script_name:
-        _script_registry()[plan.script_name].run(shell)
+        _script_registry()[plan.script_name].run(session.shell)
     else:
-        _run_ops(rig, shell, client, plan.ops)
+        for op in plan.ops:
+            replay_op(rig, session, op)
 
 
 # ----------------------------------------------------------------------

@@ -13,43 +13,10 @@ import random
 from typing import List
 
 from repro.anomaly.features import SessionLog
-from repro.broker import BrokerClient, PermissionBroker
-from repro.containit import PerforatedContainer
 from repro.errors import ReproError
-from repro.experiments.rig import DESTINATION_ENDPOINTS, build_case_study_rig
+from repro.experiments.rig import build_case_study_rig, replay_op
 from repro.framework.images import TABLE3_SPECS
 from repro.workload.corpus import generate_evaluation_tickets
-
-
-def _run_ops(shell, client, rig, ops) -> None:
-    for op in ops:
-        kind, arg = op["op"], op["arg"]
-        try:
-            if kind == "read":
-                shell.read_file(arg)
-            elif kind == "write":
-                shell.write_file(arg, b"# IT change\n", append=True)
-            elif kind == "net":
-                ip, port = DESTINATION_ENDPOINTS[arg]
-                shell.connect(ip, port).send(b"work")
-            elif kind == "ps":
-                shell.ps()
-            elif kind == "service-restart":
-                shell.restart_service(arg)
-            elif kind == "kill":
-                victim = rig.host.sys.clone(shell.proc, "runaway")
-                shell.kill(victim.pid_in(shell.proc.namespaces.pid))
-            elif kind.startswith("pb-"):
-                if kind == "pb-net":
-                    client.grant_network(arg)
-                elif kind == "pb-proc":
-                    client.pb("ps -a" if arg == "ps" else f"{arg} sshd")
-                elif kind == "pb-install":
-                    client.install_package(arg)
-                elif kind == "pb-fs":
-                    client.share_path(arg)
-        except ReproError:
-            pass  # denials are exactly the audit signal we want recorded
 
 
 def _malicious_extras(shell, client, rng: random.Random) -> None:
@@ -79,20 +46,16 @@ def generate_session_corpus(n_benign: int = 40, n_malicious: int = 8,
     for i, ticket in enumerate(tickets):
         malicious = i >= n_benign
         spec = TABLE3_SPECS.get(ticket.true_class, TABLE3_SPECS["T-11"])
-        container = PerforatedContainer.deploy(
-            rig.host, spec, user=ticket.reporter,
-            address_book=rig.address_book, container_ip="10.0.97.9")
-        broker = PermissionBroker(rig.host, container,
-                                  address_book=rig.address_book,
-                                  software_repository=rig.software_repository)
-        shell = container.login("it-admin")
-        client = BrokerClient(shell, broker)
-        _run_ops(shell, client, rig, ticket.required_ops)
-        if malicious:
-            _malicious_extras(shell, client, rng)
-        logs.append(SessionLog.from_container(
-            session_id=f"session-{i:03d}-{ticket.true_class}",
-            container=container, broker=broker,
-            label="malicious" if malicious else "benign"))
-        container.terminate("session over")
+        with rig.session(spec, ticket.reporter, "it-admin") as session:
+            for op in ticket.required_ops:
+                try:
+                    replay_op(rig, session, op)
+                except ReproError:
+                    pass  # denials are exactly the audit signal we record
+            if malicious:
+                _malicious_extras(session.shell, session.client, rng)
+            logs.append(SessionLog.from_container(
+                session_id=f"session-{i:03d}-{ticket.true_class}",
+                container=session.container, broker=session.broker,
+                label="malicious" if malicious else "benign"))
     return logs

@@ -285,7 +285,6 @@ class PerforatedContainer:
         if NamespaceKind.UTS in spec.clone_flags():
             init_proc.namespaces.uts.hostname = hostname
         obs.registry().counter("containit_deployments", spec=spec.name).inc()
-        kernel.record_event("container_deployed", spec=spec.name, user=user)
         return container
 
     @staticmethod
@@ -411,7 +410,6 @@ class PerforatedContainer:
         shell = AdminShell(self, shell_proc, admin)
         self.sessions.append(shell)
         obs.registry().counter("containit_logins", spec=self.spec.name).inc()
-        self.kernel.record_event("admin_login", admin=admin, spec=self.spec.name)
         return shell
 
     def terminate(self, reason: str = "session closed") -> None:
@@ -438,8 +436,6 @@ class PerforatedContainer:
                                spec=self.spec.name).inc()
         obs.tracer().event("containit:terminate", spec=self.spec.name,
                            reason=reason)
-        self.kernel.record_event("container_terminated", spec=self.spec.name,
-                                 reason=reason)
 
     # ------------------------------------------------------------------
     # introspection

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.containit import PerforatedContainer
 from repro.experiments.rig import build_case_study_rig
 from repro.framework.images import SCRIPT_SPECS_CHEF_PUPPET, SCRIPT_SPECS_CLUSTER
 from repro.workload.scripts import (
@@ -59,17 +58,13 @@ def run_figure8(execute: bool = True) -> Figure8Result:
         specs = {**SCRIPT_SPECS_CHEF_PUPPET, **SCRIPT_SPECS_CLUSTER}
         for script in chef + cluster:
             spec = specs[assign_script_container(script)]
-            container = PerforatedContainer.deploy(
-                rig.host, spec, user="alice",
-                address_book=rig.address_book, container_ip="10.0.99.80")
-            shell = container.login(f"script:{script.name}")
-            try:
-                script.run(shell)
-                executed += 1
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                failures.append(f"{script.name}: {exc}")
-            finally:
-                container.terminate("script done")
+            with rig.session(spec, "alice",
+                             f"script:{script.name}") as session:
+                try:
+                    script.run(session.shell)
+                    executed += 1
+                except Exception as exc:  # noqa: BLE001 - report, don't crash
+                    failures.append(f"{script.name}: {exc}")
     return Figure8Result(
         chef_puppet=script_container_distribution(chef),
         cluster=script_container_distribution(cluster),

@@ -5,42 +5,53 @@ workstation with the filesystem content the evaluation tickets touch, the
 organizational services (license server, shared storage, software
 repository, batch/LSF server, whitelisted web), a target machine, and the
 standard address book.
+
+:meth:`CaseStudyRig.session` and :func:`replay_op` are the one way the
+experiments, the policy miner and the anomaly corpus run a ticket in its
+class container.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from repro import obs
-from repro.containit import AddressBook
+from repro.broker import BrokerClient, PermissionBroker
+from repro.containit import AddressBook, AdminShell, PerforatedContainer
+from repro.containit.spec import PerforatedContainerSpec
+from repro.errors import ReproError
+from repro.framework.orchestrator import DEFAULT_SERVICES
 from repro.kernel import Kernel, Network
+from repro.kernel.capabilities import Credentials
 from repro.tcb import install_watchit_components
 
-LICENSE_IP = "10.0.1.10"
-STORAGE_IP = "10.0.1.20"
-REPO_IP = "10.0.1.30"
-BATCH_IP = "10.0.1.40"
-WEB_IP = "8.8.4.4"
 TARGET_IP = "10.0.0.7"
 
-STANDARD_ADDRESS_BOOK: AddressBook = {
-    "license-server": [(LICENSE_IP, 27000)],
-    "shared-storage": [(STORAGE_IP, 2049)],
-    "software-repository": [(REPO_IP, 8080)],
-    "batch-server": [(BATCH_IP, 6500)],
-    "whitelisted-websites": [(WEB_IP, 443)],
-    "target-machine": [("10.0.0.0/24", None)],
-}
+#: IP every rig session's container deploys on (sessions on one rig are
+#: strictly sequential; each terminates before the next deploys)
+CONTAINER_IP = "10.0.99.50"
 
-#: concrete endpoints per symbolic destination, for replaying "net" ops
+#: concrete endpoints per symbolic destination, for replaying "net" ops;
+#: the organizational services sit where the orchestrator puts them
 DESTINATION_ENDPOINTS: Dict[str, Tuple[str, int]] = {
-    "license-server": (LICENSE_IP, 27000),
-    "shared-storage": (STORAGE_IP, 2049),
-    "software-repository": (REPO_IP, 8080),
-    "batch-server": (BATCH_IP, 6500),
-    "whitelisted-websites": (WEB_IP, 443),
-    "target-machine": (TARGET_IP, 22),
+    label: (ip, port) for label, (ip, port, _) in DEFAULT_SERVICES.items()}
+DESTINATION_ENDPOINTS["target-machine"] = (TARGET_IP, 22)
+
+STANDARD_ADDRESS_BOOK: AddressBook = {
+    label: [endpoint] for label, endpoint in DESTINATION_ENDPOINTS.items()}
+STANDARD_ADDRESS_BOOK["target-machine"] = [("10.0.0.0/24", None)]
+
+#: the rig's own host name and reply per destination (reply sizes reach
+#: the net audit's ``bytes``, so they are not the orchestrator's)
+_SERVICE_HOSTS: Dict[str, Tuple[str, bytes]] = {
+    "license-server": ("license-srv", b"LICENSE-OK"),
+    "shared-storage": ("storage", b"NFS-OK"),
+    "software-repository": ("repo", b"\x7fELF pkg"),
+    "batch-server": ("batch", b"LSF-OK"),
+    "whitelisted-websites": ("web", b"HTTP/1.1 200 OK"),
+    "target-machine": ("target", b"SSH-2.0-OpenSSH"),
 }
 
 _USERS = ("alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi")
@@ -72,6 +83,15 @@ def _host_tree() -> dict:
     return tree
 
 
+class RigSession(NamedTuple):
+    """One logged-in class container on the rig."""
+
+    container: PerforatedContainer
+    broker: PermissionBroker
+    shell: AdminShell
+    client: BrokerClient
+
+
 @dataclass
 class CaseStudyRig:
     """One assembled case-study environment."""
@@ -80,6 +100,27 @@ class CaseStudyRig:
     host: Kernel
     address_book: AddressBook
     software_repository: Dict[str, bytes]
+
+    @contextmanager
+    def session(self, spec: PerforatedContainerSpec, user: str, admin: str,
+                credentials: Optional[Credentials] = None
+                ) -> Iterator[RigSession]:
+        """Deploy ``spec`` for ``user``'s ticket and log ``admin`` in.
+
+        The container is terminated on exit, also when the body raises.
+        """
+        container = PerforatedContainer.deploy(
+            self.host, spec, user=user, address_book=self.address_book,
+            container_ip=CONTAINER_IP)
+        try:
+            broker = PermissionBroker(
+                self.host, container, address_book=self.address_book,
+                software_repository=self.software_repository)
+            shell = container.login(admin, credentials=credentials)
+            yield RigSession(container, broker, shell,
+                             BrokerClient(shell, broker, ticket_class=spec.name))
+        finally:
+            container.terminate("session over")
 
 
 def build_case_study_rig(hostname: str = "ws-01") -> CaseStudyRig:
@@ -90,25 +131,64 @@ def build_case_study_rig(hostname: str = "ws-01") -> CaseStudyRig:
     host.rootfs.populate(_host_tree())
     for service in ("sshd", "cron", "network", "spark", "swift"):
         host.register_service(service)
-
-    Kernel("license-srv", ip=LICENSE_IP, network=network)
-    network.listen(LICENSE_IP, 27000, lambda pkt: b"LICENSE-OK")
-    Kernel("storage", ip=STORAGE_IP, network=network)
-    network.listen(STORAGE_IP, 2049, lambda pkt: b"NFS-OK")
-    Kernel("repo", ip=REPO_IP, network=network)
-    network.listen(REPO_IP, 8080, lambda pkt: b"\x7fELF pkg")
-    Kernel("batch", ip=BATCH_IP, network=network)
-    network.listen(BATCH_IP, 6500, lambda pkt: b"LSF-OK")
-    Kernel("web", ip=WEB_IP, network=network)
-    network.listen(WEB_IP, 443, lambda pkt: b"HTTP/1.1 200 OK")
-    Kernel("target", ip=TARGET_IP, network=network)
-    network.listen(TARGET_IP, 22, lambda pkt: b"SSH-2.0-OpenSSH")
+    for label, (name, reply) in _SERVICE_HOSTS.items():
+        ip, port = DESTINATION_ENDPOINTS[label]
+        Kernel(name, ip=ip, network=network)
+        network.listen(ip, port, lambda pkt, _reply=reply: _reply)
 
     return CaseStudyRig(network=network, host=host,
                         address_book=dict(STANDARD_ADDRESS_BOOK),
                         software_repository={
                             "matlab-toolbox": b"\x7fELF toolbox",
                         })
+
+
+def _granted(response, what: str) -> None:
+    if not response.ok:
+        raise ReproError(f"broker refused {what}: {response.error}")
+
+
+def _send(session: RigSession, destination: str) -> None:
+    ip, port = DESTINATION_ENDPOINTS[destination]
+    session.shell.connect(ip, port).send(b"op")
+
+
+def replay_op(rig: CaseStudyRig, session: RigSession,
+              op: Mapping[str, str]) -> None:
+    """Run one ticket op (``{"op": kind, "arg": arg}``) in ``session``.
+
+    ``pb-*`` kinds go through the permission broker; a granted ``pb-net``
+    then connects to the destination. Raises
+    :class:`~repro.errors.ReproError` for a refused operation, a refused
+    escalation, or an unknown kind.
+    """
+    kind, arg = op["op"], op["arg"]
+    shell, client = session.shell, session.client
+    if kind == "read":
+        shell.read_file(arg)
+    elif kind == "write":
+        shell.write_file(arg, b"# updated by IT\n", append=True)
+    elif kind == "net":
+        _send(session, arg)
+    elif kind == "ps":
+        shell.ps()
+    elif kind == "kill":
+        victim = rig.host.sys.clone(shell.proc, "runaway")
+        shell.kill(victim.pid_in(shell.proc.namespaces.pid))
+    elif kind == "service-restart":
+        shell.restart_service(arg)
+    elif kind == "pb-proc":
+        _granted(client.pb(f"{arg} sshd" if arg == "service-restart"
+                           else arg), arg)
+    elif kind == "pb-fs":
+        _granted(client.share_path(arg), "share")
+    elif kind == "pb-net":
+        _granted(client.grant_network(arg), "grant")
+        _send(session, arg)
+    elif kind == "pb-install":
+        _granted(client.install_package(arg), "install")
+    else:
+        raise ReproError(f"unknown replay op {kind!r}")
 
 
 def run_with_metrics(runner: Callable[[], object],

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.containit import PerforatedContainer
 from repro.errors import (
     AccessBlocked,
     FileNotFound,
@@ -70,33 +69,33 @@ def _spec_row(spec) -> Dict[str, object]:
 def _probe_deployment(rig, spec, row) -> List[str]:
     """Deploy the class and verify each cell of its row empirically."""
     failures: List[str] = []
-    container = PerforatedContainer.deploy(
-        rig.host, spec, user="alice", address_book=rig.address_book,
-        container_ip="10.0.99.99")
-    shell = container.login("probe-admin")
+    with rig.session(spec, "alice", "probe-admin") as session:
+        shell = session.shell
 
-    def check(label: str, expected: bool, fn) -> None:
-        try:
-            fn()
-            actual = True
-        except (FileNotFound, AccessBlocked, FirewallBlocked,
-                NetworkUnreachable, NoSuchProcess):
-            actual = False
-        if actual != expected:
-            failures.append(f"{spec.name}:{label} expected "
-                            f"{'granted' if expected else 'denied'}")
+        def check(label: str, expected: bool, fn) -> None:
+            try:
+                fn()
+                actual = True
+            except (FileNotFound, AccessBlocked, FirewallBlocked,
+                    NetworkUnreachable, NoSuchProcess):
+                actual = False
+            if actual != expected:
+                failures.append(f"{spec.name}:{label} expected "
+                                f"{'granted' if expected else 'denied'}")
 
-    check("home", row["home"], lambda: shell.read_file("/home/alice/notes.txt"))
-    check("etc", row["etc"], lambda: shell.read_file("/etc/fstab"))
-    check("root", row["root"], lambda: shell.read_file("/usr/lib/libc.so"))
-    check("procmgmt", row["procmgmt"], lambda: shell.restart_service("sshd"))
-    for dest in ("license-server", "batch-server", "shared-storage",
-                 "software-repository", "whitelisted-websites",
-                 "target-machine"):
-        ip, port = DESTINATION_ENDPOINTS[dest]
-        check(dest, bool(row[dest]), lambda ip=ip, port=port:
-              shell.connect(ip, port))
-    container.terminate("probe done")
+        check("home", row["home"],
+              lambda: shell.read_file("/home/alice/notes.txt"))
+        check("etc", row["etc"], lambda: shell.read_file("/etc/fstab"))
+        check("root", row["root"],
+              lambda: shell.read_file("/usr/lib/libc.so"))
+        check("procmgmt", row["procmgmt"],
+              lambda: shell.restart_service("sshd"))
+        for dest in ("license-server", "batch-server", "shared-storage",
+                     "software-repository", "whitelisted-websites",
+                     "target-machine"):
+            ip, port = DESTINATION_ENDPOINTS[dest]
+            check(dest, bool(row[dest]), lambda ip=ip, port=port:
+                  shell.connect(ip, port))
     return failures
 
 

@@ -21,16 +21,10 @@ isolated, WWW exposure, everything monitored).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.broker import BrokerClient, PermissionBroker
-from repro.containit import PerforatedContainer
 from repro.errors import ReproError
-from repro.experiments.rig import (
-    DESTINATION_ENDPOINTS,
-    CaseStudyRig,
-    build_case_study_rig,
-)
+from repro.experiments.rig import CaseStudyRig, build_case_study_rig, replay_op
 from repro.framework.classifier import (
     FALLBACK_CLASS,
     ClassificationReport,
@@ -163,76 +157,35 @@ def _supervisor_review(catch_rate: float = 1.0):
     return review
 
 
-def _replay_ticket(rig: CaseStudyRig, ticket: Ticket, row: ClassRow) -> None:
-    """Deploy the class container and replay the ticket's operations."""
+def _replay_ticket(rig: CaseStudyRig, ticket: Ticket,
+                   row: ClassRow) -> Tuple[int, int]:
+    """Deploy the class container and replay the ticket's operations.
+
+    Returns the (filesystem ops, packets) the container's monitors saw.
+    """
     spec = TABLE3_SPECS.get(ticket.true_class or FALLBACK_CLASS,
                             TABLE3_SPECS[FALLBACK_CLASS])
-    container = PerforatedContainer.deploy(
-        rig.host, spec, user=ticket.reporter, address_book=rig.address_book,
-        container_ip="10.0.99.50")
-    broker = PermissionBroker(rig.host, container,
-                              address_book=rig.address_book,
-                              software_repository=rig.software_repository)
-    shell = container.login(ticket.assignee or "it-admin")
-    client = BrokerClient(shell, broker, ticket_class=spec.name)
-    used_broker = {"process": False, "filesystem": False, "network": False}
-    try:
-        for op in ticket.required_ops:
-            kind, arg = op["op"], op["arg"]
-            if kind == "read":
-                shell.read_file(arg)
-            elif kind == "write":
-                shell.write_file(arg, b"# updated by IT\n", append=True)
-            elif kind == "net":
-                ip, port = DESTINATION_ENDPOINTS[arg]
-                shell.connect(ip, port).send(b"op")
-            elif kind == "ps":
-                shell.ps()
-            elif kind == "kill":
-                victim = rig.host.sys.clone(shell.proc, "runaway")
-                shell.kill(victim.pid_in(shell.proc.namespaces.pid))
-            elif kind == "service-restart":
-                shell.restart_service(arg)
-            elif kind == "pb-proc":
-                response = client.pb(f"{arg} sshd" if arg == "service-restart"
-                                     else arg)
-                if not response.ok:
-                    raise ReproError(f"broker refused {arg}: {response.error}")
-                used_broker["process"] = True
-            elif kind == "pb-fs":
-                response = client.share_path(arg)
-                if not response.ok:
-                    raise ReproError(f"broker refused share: {response.error}")
-                used_broker["filesystem"] = True
-            elif kind == "pb-net":
-                response = client.grant_network(arg)
-                if not response.ok:
-                    raise ReproError(f"broker refused grant: {response.error}")
-                ip, port = DESTINATION_ENDPOINTS[arg]
-                shell.connect(ip, port).send(b"op")
-                used_broker["network"] = True
-            elif kind == "pb-install":
-                response = client.install_package(arg)
-                if not response.ok:
-                    raise ReproError(f"broker refused install: {response.error}")
-                used_broker["network"] = True
-            else:
-                raise ReproError(f"unknown replay op {kind!r}")
-    except ReproError as exc:
-        row.replay_errors.append(
-            f"ticket {ticket.ticket_id} ({ticket.true_class}) op failed: {exc}")
-    else:
-        if not any(used_broker.values()):
-            row.satisfied += 1
-    row.pb_process += used_broker["process"]
-    row.pb_filesystem += used_broker["filesystem"]
-    row.pb_network += used_broker["network"]
-    row.tickets += 1
-    # carry monitor counters before teardown
-    _replay_ticket.fs_ops += len(container.fs_audit)
-    _replay_ticket.packets += (container.monitor.packets_seen
-                               if container.monitor else 0)
-    container.terminate("replay done")
+    with rig.session(spec, ticket.reporter,
+                     ticket.assignee or "it-admin") as session:
+        used_broker: Set[str] = set()
+        try:
+            for op in ticket.required_ops:
+                replay_op(rig, session, op)
+                if op["op"] in _ESCALATION_COLUMN:
+                    used_broker.add(_ESCALATION_COLUMN[op["op"]])
+        except ReproError as exc:
+            row.replay_errors.append(f"ticket {ticket.ticket_id} "
+                                     f"({ticket.true_class}) op failed: {exc}")
+        else:
+            if not used_broker:
+                row.satisfied += 1
+        row.pb_process += "process" in used_broker
+        row.pb_filesystem += "filesystem" in used_broker
+        row.pb_network += "network" in used_broker
+        row.tickets += 1
+        container = session.container
+        return (len(container.fs_audit),
+                container.monitor.packets_seen if container.monitor else 0)
 
 
 def _isolation_stats(tickets: Sequence[Ticket]) -> Dict[str, float]:
@@ -276,12 +229,13 @@ def run_table4(n_tickets: int = 398, seed: int = 42,
 
     rig = build_case_study_rig()
     rows: Dict[str, ClassRow] = {c: ClassRow(class_id=c) for c in CLASS_IDS}
-    _replay_ticket.fs_ops = 0
-    _replay_ticket.packets = 0
+    fs_ops = packets = 0
     for ticket in tickets:
-        _replay_ticket(rig, ticket, rows[ticket.true_class])
+        ticket_fs_ops, ticket_packets = _replay_ticket(
+            rig, ticket, rows[ticket.true_class])
+        fs_ops += ticket_fs_ops
+        packets += ticket_packets
     return Table4Result(rows=rows, classification=report,
                         isolation_stats=_isolation_stats(tickets),
-                        monitored_fs_ops=_replay_ticket.fs_ops,
-                        monitored_packets=_replay_ticket.packets,
+                        monitored_fs_ops=fs_ops, monitored_packets=packets,
                         total_tickets=len(tickets))

@@ -73,6 +73,7 @@ class Kernel:
         self.network = network
         self.clock = 0
         self.reboot_count = 0
+        #: host events (secure boot, TCB update, reboot, service restart)
         self.events: List[Dict[str, object]] = []
         self.processes: Dict[int, Process] = {}
         self.services: Dict[str, Process] = {}

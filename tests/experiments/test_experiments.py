@@ -136,6 +136,70 @@ class TestFigure9:
             **{(name, "itfs-signature"): ops
                for name, ops in checked.items()}}
 
+    def test_policy_evaluations_and_head_bytes_are_exact_per_cell(
+            self, monkeypatch):
+        # the rest of the counted work: one policy evaluation per checked
+        # op (fewer once the pass-through cache answers repeats), and the
+        # bytes signature checks read from the backing filesystem
+        from repro.experiments.figure9_itfs import _workloads, _wrap
+        from repro.itfs import (
+            ITFS,
+            AppendOnlyLog,
+            PolicyManager,
+            document_blocking_policy,
+        )
+
+        evaluations = []
+        evaluate = PolicyManager.evaluate
+
+        def counting_evaluate(policy, *args, **kwargs):
+            evaluations.append(policy)
+            return evaluate(policy, *args, **kwargs)
+
+        monkeypatch.setattr(PolicyManager, "evaluate", counting_evaluate)
+        configs = {
+            "itfs-extension": lambda fs: _wrap(fs, "itfs-extension"),
+            "itfs-signature": lambda fs: _wrap(fs, "itfs-signature"),
+            "itfs-signature+passthrough": lambda fs: ITFS(
+                fs, document_blocking_policy(log_all=False,
+                                             by_signature=True),
+                audit=AppendOnlyLog("fig9"), passthrough=True),
+        }
+        work = {}
+        for name, build, drive in _workloads(1):
+            for config, wrap in configs.items():
+                fs = build()
+                head_bytes = []
+                read_head = fs.read_head
+
+                def counting_read_head(path, size, ctx=None,
+                                       _read=read_head, _out=head_bytes):
+                    data = _read(path, size, ctx)
+                    _out.append(len(data))
+                    return data
+
+                monkeypatch.setattr(fs, "read_head", counting_read_head)
+                itfs = wrap(fs)
+                evaluations.clear()
+                drive(itfs)
+                work[name, config] = (itfs.ops_total, len(evaluations),
+                                      sum(head_bytes))
+        # (checked ops, policy evaluations, head bytes read)
+        assert work == {
+            ("grep-small", "itfs-extension"): (120, 120, 0),
+            ("grep-small", "itfs-signature"): (120, 120, 1920),
+            ("grep-small", "itfs-signature+passthrough"): (120, 120, 1920),
+            ("grep-large", "itfs-extension"): (10, 10, 0),
+            ("grep-large", "itfs-signature"): (10, 10, 160),
+            ("grep-large", "itfs-signature+passthrough"): (10, 10, 160),
+            ("postmark", "itfs-extension"): (271, 271, 0),
+            ("postmark", "itfs-signature"): (271, 271, 2656),
+            ("postmark", "itfs-signature+passthrough"): (271, 252, 2352),
+            ("sysbench", "itfs-extension"): (65, 65, 0),
+            ("sysbench", "itfs-signature"): (65, 65, 960),
+            ("sysbench", "itfs-signature+passthrough"): (65, 17, 192),
+        }
+
     def test_all_cells_measured(self):
         result = run_figure9(scale=1, repeats=1)
         assert set(result.normalized) == {"grep-small", "grep-large",

@@ -68,18 +68,25 @@ class TestPassthroughSemantics:
         for i in range(300):
             big.write(f"/f{i}", b"payload " * 8)
 
-        def sweep(target, repeats=4):
+        def sweep(target):
             start = time.perf_counter()
-            for _ in range(repeats):
-                for i in range(300):
-                    target.read(f"/f{i}")
+            for i in range(300):
+                target.read(f"/f{i}")
             return time.perf_counter() - start
 
-        plain = ITFS(big, document_blocking_policy(by_signature=True),
-                     audit=AppendOnlyLog())
-        fast = ITFS(big, document_blocking_policy(by_signature=True),
-                    audit=AppendOnlyLog(), passthrough=True)
-        assert sweep(fast) < sweep(plain)
+        configs = {
+            "plain": ITFS(big, document_blocking_policy(by_signature=True),
+                          audit=AppendOnlyLog()),
+            "fast": ITFS(big, document_blocking_policy(by_signature=True),
+                         audit=AppendOnlyLog(), passthrough=True),
+        }
+        # the configs take turns inside each repeat and each keeps its
+        # fastest sweep, so a burst of host load hits both alike
+        best = dict.fromkeys(configs, float("inf"))
+        for _ in range(4):
+            for name, target in configs.items():
+                best[name] = min(best[name], sweep(target))
+        assert best["fast"] < best["plain"], best
 
     def test_passthrough_reads_each_unchanged_head_once(self):
         # the work behind the wall-clock test above, counted instead of
