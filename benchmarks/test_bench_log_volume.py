@@ -25,7 +25,7 @@ def run_volume_comparison(n_tickets=80, seed=61):
         with rig.session(spec, ticket.reporter, "it-admin") as session:
             for op in ticket.required_ops:
                 try:
-                    replay_op(rig, session, op)
+                    replay_op(session, op)
                 except ReproError:
                     pass
             container = session.container

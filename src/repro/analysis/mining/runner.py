@@ -136,21 +136,20 @@ def _run_session(rig: CaseStudyRig, spec: PerforatedContainerSpec,
             if recorder is not None:
                 with recorder.session(plan.ticket_class, plan.user,
                                       session_id=plan.label):
-                    _execute(rig, session, plan)
+                    _execute(session, plan)
             else:
-                _execute(rig, session, plan)
+                _execute(session, plan)
         except Exception as exc:  # noqa: BLE001 — script bodies may raise anything
             errors.append(f"{plan.label}: {type(exc).__name__}: {exc}")
     return errors
 
 
-def _execute(rig: CaseStudyRig, session: RigSession,
-             plan: PlannedSession) -> None:
+def _execute(session: RigSession, plan: PlannedSession) -> None:
     if plan.script_name:
         _script_registry()[plan.script_name].run(session.shell)
     else:
         for op in plan.ops:
-            replay_op(rig, session, op)
+            replay_op(session, op)
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,7 @@ def generate_session_corpus(n_benign: int = 40, n_malicious: int = 8,
         with rig.session(spec, ticket.reporter, "it-admin") as session:
             for op in ticket.required_ops:
                 try:
-                    replay_op(rig, session, op)
+                    replay_op(session, op)
                 except ReproError:
                     pass  # denials are exactly the audit signal we record
             if malicious:

@@ -118,7 +118,7 @@ class CaseStudyRig:
                 software_repository=self.software_repository)
             shell = container.login(admin, credentials=credentials)
             yield RigSession(container, broker, shell,
-                             BrokerClient(shell, broker, ticket_class=spec.name))
+                             BrokerClient(shell, broker))
         finally:
             container.terminate("session over")
 
@@ -153,8 +153,7 @@ def _send(session: RigSession, destination: str) -> None:
     session.shell.connect(ip, port).send(b"op")
 
 
-def replay_op(rig: CaseStudyRig, session: RigSession,
-              op: Mapping[str, str]) -> None:
+def replay_op(session: RigSession, op: Mapping[str, str]) -> None:
     """Run one ticket op (``{"op": kind, "arg": arg}``) in ``session``.
 
     ``pb-*`` kinds go through the permission broker; a granted ``pb-net``
@@ -173,7 +172,7 @@ def replay_op(rig: CaseStudyRig, session: RigSession,
     elif kind == "ps":
         shell.ps()
     elif kind == "kill":
-        victim = rig.host.sys.clone(shell.proc, "runaway")
+        victim = session.container.kernel.sys.clone(shell.proc, "runaway")
         shell.kill(victim.pid_in(shell.proc.namespaces.pid))
     elif kind == "service-restart":
         shell.restart_service(arg)

@@ -170,7 +170,7 @@ def _replay_ticket(rig: CaseStudyRig, ticket: Ticket,
         used_broker: Set[str] = set()
         try:
             for op in ticket.required_ops:
-                replay_op(rig, session, op)
+                replay_op(session, op)
                 if op["op"] in _ESCALATION_COLUMN:
                     used_broker.add(_ESCALATION_COLUMN[op["op"]])
         except ReproError as exc:

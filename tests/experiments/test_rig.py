@@ -32,14 +32,14 @@ class TestSession:
         assert not session.broker.proc.alive
         # the next session deploys on the same rig
         with rig.session(TABLE3_SPECS["T-6"], "bob", "it-admin") as again:
-            replay_op(rig, again, {"op": "read", "arg": "/etc/fstab"})
+            replay_op(again, {"op": "read", "arg": "/etc/fstab"})
 
 
 class TestReplayOp:
     def test_unknown_kind_raises(self, rig):
         with rig.session(TABLE3_SPECS["T-1"], "alice", "it-admin") as session:
             with pytest.raises(ReproError, match="unknown replay op 'dance'"):
-                replay_op(rig, session, {"op": "dance", "arg": "x"})
+                replay_op(session, {"op": "dance", "arg": "x"})
 
     @pytest.mark.parametrize("op, message", [
         ({"op": "pb-fs", "arg": "/opt/watchit"}, "broker refused share"),
@@ -49,7 +49,7 @@ class TestReplayOp:
     def test_refused_escalation_raises(self, rig, op, message):
         with rig.session(TABLE3_SPECS["T-1"], "alice", "it-admin") as session:
             with pytest.raises(ReproError, match=message):
-                replay_op(rig, session, op)
+                replay_op(session, op)
             assert [r.decision for r in session.broker.audit.records] == \
                 ["deny"]
 
@@ -57,7 +57,7 @@ class TestReplayOp:
         # T-2 cannot reach shared storage on its own: the grant opens it,
         # and the replay then talks to it through the monitored interface
         with rig.session(TABLE3_SPECS["T-2"], "alice", "it-admin") as session:
-            replay_op(rig, session, {"op": "pb-net", "arg": "shared-storage"})
+            replay_op(session, {"op": "pb-net", "arg": "shared-storage"})
             assert [r.decision for r in session.broker.audit.records] == \
                 ["allow"]
             assert session.container.monitor.packets_seen == 2
