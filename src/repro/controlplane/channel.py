@@ -15,8 +15,8 @@ defines exactly that wire surface:
   :func:`marshal_error`/:func:`unmarshal_error` round-trip the *typed*
   taxonomy instead.
 * :class:`ControlRequest`/:class:`ControlReply` — the small RPC surface
-  (prewarm, admin/user registration) that thread mode runs directly
-  against the shard organizations.
+  (prewarm, admin/user registration) that thread mode queues, in order
+  with its tickets, for its one serving thread.
 * :class:`WorkerExit` — the worker's goodbye: a snapshot of its private
   metrics registry for the parent to fold back into the plane-scoped
   :class:`~repro.obs.MetricsRegistry`.

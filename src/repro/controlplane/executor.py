@@ -3,16 +3,16 @@
 :class:`ControlPlane` is the front door of the concurrent control plane:
 ``submit`` routes a ticket to the shard owning its workstation and
 enqueues it on that shard's bounded queue (a full queue blocks the
-producer — per-shard backpressure), one worker per shard drives the full
-Figure 3 session (classify → lease a pooled container → login → session
-ops → resolve → scrubbed release), and ``drain`` waits until every
-accepted ticket has settled.
+producer — per-shard backpressure), a worker drives the full Figure 3
+session (classify → lease a pooled container → login → session ops →
+resolve → scrubbed release), and ``drain`` waits until every accepted
+ticket has settled.
 
-One worker per shard is deliberate: a simulated organization is not
-internally thread-safe, so the parallelism axis is the *number of
-shards*, and within a shard everything stays single-threaded — the same
-reasoning real control planes use when they partition state instead of
-locking it.
+Shards partition state instead of locking it: a simulated organization
+is not internally thread-safe, so each shard's organization is only ever
+touched by one thread at a time, the same reasoning real control planes
+use. Processes are the parallelism axis; in this process the GIL already
+serializes the shards, so thread mode serves all of them from one thread.
 
 The plane itself is mode-agnostic. It owns admission, the one pending
 table (``seq`` → future, admission clock, shard), and the one settle
@@ -22,10 +22,13 @@ series once, persists the trail (fail-soft) and sets the future. A small
 per-mode backend (``workers=`` at construction) only moves envelopes to
 a shard, runs control ops, and reports liveness:
 
-* ``"thread"`` — a queue plus a worker thread per shard in this process.
-  Cheap to start, shares the classifier memo, but LDA fold-in and ITFS
-  signature checks are pure-Python CPU work, so true parallelism is
-  capped by the GIL at ~1 core.
+* ``"thread"`` — a bounded queue per shard and one serving thread for
+  all shards, in this process. Cheap to start, shares the classifier
+  memo, but LDA fold-in and ITFS signature checks are pure-Python CPU
+  work, so the GIL caps serving at ~1 core. A thread per shard bought no
+  parallelism: it only handed the GIL to another shard thread whenever a
+  ticket released it (a store commit, a lock wait, a future's
+  condition). A session body that blocks stalls every shard.
 * ``"process"`` — one worker *process* per shard. Per-shard state is
   fully partitioned by CRC-32 hostname routing, so each worker
   bootstraps its own organization from a pickled
@@ -191,33 +194,54 @@ class _Backend:
 
 
 class _ThreadBackend(_Backend):
-    """A queue plus a worker thread per shard, in this process."""
+    """One serving thread for every shard, in this process.
+
+    Each shard keeps its bounded queue (per-shard backpressure, FIFO
+    within the shard); ``fifo`` records which shard received each chunk,
+    so shards are served in arrival order. A control op parks the serving
+    thread through the same FIFO and then runs on its caller's thread:
+    between tickets, never during one.
+    """
 
     in_process = True
 
     def __init__(self, plane: "ControlPlane") -> None:
         super().__init__(plane)
-        self.threads: Dict[int, threading.Thread] = {}
+        #: shard index per enqueued chunk, a control op's ``(parked,
+        #: resume)`` events, or ``None`` (stop)
+        self.fifo: "queue.Queue[object]" = queue.Queue()
+        self.worker: Optional[threading.Thread] = None
         for shard in plane.router.shards:
             self.queues[shard.index] = queue.Queue(maxsize=plane._queue_depth)
 
     def start(self) -> None:
-        for shard in self.plane.router.shards:
-            server = ShardServer(shard, self.plane.classifier)
-            worker = threading.Thread(
-                target=self._work, args=(server, self.queues[shard.index]),
-                name=f"shard-{shard.index}", daemon=True)
-            self.threads[shard.index] = worker
-            worker.start()
+        self.worker = threading.Thread(target=self._work, name="shard-server",
+                                       daemon=True)
+        self.worker.start()
 
-    def _work(self, server: ShardServer, q: "queue.Queue[object]") -> None:
-        index = server.shard.index
+    def put(self, index: int, item: object, block: bool) -> bool:
+        if not super().put(index, item, block):
+            return False
+        self.fifo.put(index)
+        return True
+
+    def _work(self) -> None:
+        servers = {shard.index: ShardServer(shard, self.plane.classifier)
+                   for shard in self.plane.router.shards}
         while True:
-            envelopes = q.get()
-            if envelopes is None:
+            item = self.fifo.get()
+            if item is None:
                 return
-            self.plane._set_depth(index)
+            if isinstance(item, tuple):
+                parked, resume = item
+                parked.set()
+                resume.wait()
+                continue
+            assert isinstance(item, int)
+            envelopes = self.queues[item].get_nowait()
+            self.plane._set_depth(item)
             assert isinstance(envelopes, list)
+            server = servers[item]
             for env in envelopes:
                 try:
                     result, trail = server.serve_traced(
@@ -231,18 +255,34 @@ class _ThreadBackend(_Backend):
                     self.plane._settle(env.seq, result, trail=trail)
 
     def stop(self) -> None:
-        for q in self.queues.values():
-            q.put(None)
-        for worker in self.threads.values():
-            worker.join()
+        self.fifo.put(None)
+        if self.worker is not None:
+            self.worker.join()
 
     def control(self, op: str, payload: Tuple[object, ...]) -> List[object]:
-        return [procworker._handle_control(shard, op, payload)
-                for shard in self.plane.router.shards]
+        """Run one control op on every shard, in FIFO order with the
+        tickets already enqueued: park the serving thread, then run the op
+        here. Running it on the serving thread would cost the same
+        hand-offs, but set-up's prewarm measured slower there."""
+        if threading.current_thread() is self.worker:
+            raise InvalidArgument(
+                f"control op {op!r} from a session body would wait on its "
+                "own serving thread")
+        parked, resume = threading.Event(), threading.Event()
+        self.fifo.put((parked, resume))
+        try:
+            while not parked.wait(_POLL):
+                if not self.alive(0):
+                    raise InvalidArgument(
+                        f"control op {op!r} arrived after the serving "
+                        "thread stopped")
+            return [procworker._handle_control(shard, op, payload)
+                    for shard in self.plane.router.shards]
+        finally:
+            resume.set()
 
     def alive(self, index: int) -> bool:
-        worker = self.threads.get(index)
-        return worker is not None and worker.is_alive()
+        return self.worker is not None and self.worker.is_alive()
 
 
 class _WorkerProc:

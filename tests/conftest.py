@@ -17,6 +17,7 @@ def fuzz_soak(request):
 
 from repro import obs
 from repro.containit import PerforatedContainer
+from repro.framework.orchestrator import DEFAULT_SERVICES
 from repro.kernel import (
     ALL_CLONE_FLAGS,
     Kernel,
@@ -25,19 +26,24 @@ from repro.kernel import (
 )
 from repro.tcb import install_watchit_components
 
-LICENSE_IP = "10.0.1.10"
-STORAGE_IP = "10.0.1.20"
-REPO_IP = "10.0.1.30"
-BATCH_IP = "10.0.1.40"
-WEB_IP = "8.8.4.4"
+#: the organization's services, as every deployment wires them
+LICENSE_IP = DEFAULT_SERVICES["license-server"][0]
+STORAGE_IP = DEFAULT_SERVICES["shared-storage"][0]
+REPO_IP = DEFAULT_SERVICES["software-repository"][0]
+BATCH_IP = DEFAULT_SERVICES["batch-server"][0]
+WEB_IP = DEFAULT_SERVICES["whitelisted-websites"][0]
 
-ADDRESS_BOOK = {
-    "license-server": [(LICENSE_IP, 27000)],
-    "shared-storage": [(STORAGE_IP, 2049)],
-    "software-repository": [(REPO_IP, 8080)],
-    "batch-server": [(BATCH_IP, 6500)],
-    "whitelisted-websites": [(WEB_IP, 443)],
-    "target-machine": [("10.0.0.0/24", None)],
+ADDRESS_BOOK = {label: [(ip, port)]
+                for label, (ip, port, _reply) in DEFAULT_SERVICES.items()}
+ADDRESS_BOOK["target-machine"] = [("10.0.0.0/24", None)]
+
+#: the rig fixture's hostname for each service's helper kernel
+_SERVICE_HOSTS = {
+    "license-server": "license-srv",
+    "shared-storage": "storage",
+    "software-repository": "repo",
+    "batch-server": "batch",
+    "whitelisted-websites": "web",
 }
 
 
@@ -94,16 +100,9 @@ def rig():
             },
         },
     })
-    Kernel("license-srv", ip=LICENSE_IP, network=net)
-    net.listen(LICENSE_IP, 27000, lambda pkt: b"LICENSE-RENEWED")
-    Kernel("storage", ip=STORAGE_IP, network=net)
-    net.listen(STORAGE_IP, 2049, lambda pkt: b"NFS-OK")
-    Kernel("repo", ip=REPO_IP, network=net)
-    net.listen(REPO_IP, 8080, lambda pkt: b"\x7fELF package payload")
-    Kernel("batch", ip=BATCH_IP, network=net)
-    net.listen(BATCH_IP, 6500, lambda pkt: b"LSF-OK")
-    Kernel("web", ip=WEB_IP, network=net)
-    net.listen(WEB_IP, 443, lambda pkt: b"HTTP/1.1 200 OK")
+    for label, (ip, port, reply) in DEFAULT_SERVICES.items():
+        Kernel(_SERVICE_HOSTS[label], ip=ip, network=net)
+        net.listen(ip, port, lambda pkt, _reply=reply: _reply)
     host.register_service("sshd")
     return net, host
 

@@ -1,12 +1,14 @@
 """ControlPlane executor: admission, backpressure, drain, error paths."""
 
 import threading
+import time
 
 import pytest
 
 from repro.api import TicketResult
 from repro.controlplane import ControlPlane
 from repro.errors import InvalidArgument, ReproError
+from repro.framework.tickets import Role
 
 MACHINES = ("ws-01", "ws-02", "ws-03", "ws-04")
 USERS = ("alice", "bob")
@@ -181,3 +183,103 @@ class TestBackpressure:
         with pytest.raises(InvalidArgument):
             plane.try_submit("alice", "help", machine="ws-01", admin=ADMIN)
         plane.close()
+
+
+class TestOneServingThread:
+    """Thread mode serves every shard from one thread: tickets and control
+    ops never run concurrently with another ticket."""
+
+    def test_control_waits_for_the_ticket_being_served(self):
+        occupied = threading.Event()
+        release = threading.Event()
+        registered = threading.Event()
+
+        def pinned_ops(shell, client):
+            occupied.set()
+            release.wait(timeout=30)
+
+        plane = ControlPlane(machines=MACHINES, users=USERS, shards=2,
+                             pool_size=1)
+        plane.register_admin(ADMIN)
+        plane.start()
+        try:
+            blocker = plane.submit("alice", "matlab license expired",
+                                   machine="ws-01", admin=ADMIN,
+                                   ops=pinned_ops)
+            assert occupied.wait(timeout=30)
+            registrar = threading.Thread(
+                target=lambda: (plane.register_user("carol"),
+                                registered.set()))
+            registrar.start()
+            # the organization is mid-session: the registration must wait
+            assert not registered.wait(timeout=0.5)
+            release.set()
+            assert registered.wait(timeout=30)
+            registrar.join(timeout=30)
+            assert blocker.result(timeout=30).resolved
+        finally:
+            release.set()
+            plane.close()
+        assert all(shard.org.tickets.role_of("carol") == Role.END_USER
+                   for shard in plane.router.shards)
+
+    def test_thread_mode_tickets_never_interleave(self):
+        machines = tuple(f"ws-{i:02d}" for i in range(1, 9))
+        guard = threading.Lock()
+        inside = [0]
+        peak = [0]
+        entries = [0]
+
+        def counting_ops(shell, client):
+            with guard:
+                inside[0] += 1
+                entries[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            time.sleep(0.002)  # releases the GIL mid-session
+            with guard:
+                inside[0] -= 1
+
+        with ControlPlane(machines=machines, users=USERS, shards=4,
+                          pool_size=1) as plane:
+            plane.register_admin(ADMIN)
+            tickets = [("alice", "matlab license expired", m)
+                       for m in machines * 4]
+            assert {plane.router.route_index(m) for m in machines} == {
+                0, 1, 2, 3}
+            futures = plane.submit_many(tickets, ADMIN, ops=counting_ops)
+            plane.drain()
+            results = [f.result(timeout=30) for f in futures]
+            served = plane.metrics.total("controlplane_tickets_served")
+        assert peak[0] == 1
+        assert entries[0] == len(tickets) == served == plane.completed
+        assert all(r.resolved for r in results)
+        assert len({r.session_id for r in results}) == len(tickets)
+
+    def test_control_from_a_session_body_fails_fast(self):
+        raised = []
+
+        def registering_ops(shell, client):
+            try:
+                plane.register_user("dave")
+            except InvalidArgument as exc:
+                raised.append(exc)
+
+        with ControlPlane(machines=MACHINES, users=USERS, shards=2,
+                          pool_size=1) as plane:
+            plane.register_admin(ADMIN)
+            result = plane.submit("alice", "matlab license expired",
+                                  machine="ws-01", admin=ADMIN,
+                                  ops=registering_ops).result(timeout=30)
+        assert result.resolved
+        assert len(raised) == 1 and "serving thread" in str(raised[0])
+
+    def test_control_after_the_serving_thread_stopped_fails_fast(self):
+        plane = ControlPlane(machines=MACHINES, users=USERS, shards=2)
+        plane.start()
+        plane._backend.stop()
+        try:
+            with pytest.raises(InvalidArgument, match="stopped"):
+                plane.register_user("erin")
+            assert not plane.workers_alive()
+        finally:
+            plane.close()
